@@ -3,7 +3,7 @@
 Subcommands::
 
     qcompat check NOTION A.json B.json [--witness-out W.json] [flags]
-    qcompat check --batch manifest.json [--jobs N] [flags]
+    qcompat check --batch manifest.json [flags]
     qcompat demo {prop1,prop2,example1,example2,theorem1} [--seed N] [flags]
     qcompat robustness NOTION A.json B.json [flags]
     qcompat validate FILE [FILE ...]
@@ -11,12 +11,19 @@ Subcommands::
 Every command prints one JSON report to stdout.  Exit codes: 0 the devices
 are compatible (or the demo reproduced all expected verdicts), 1 they are
 incompatible (or a demo verdict mismatched), 2 the solver could not decide,
-3 the input was malformed (the report names the violated invariant).
+3 the input was malformed (the report names the violated invariant), 4 the
+solver's answer failed its own checks (status ``solver-error``: a feasible
+witness that is not a valid device or misses the marginals).
 
 A batch manifest is a JSON object ``{"checks": [...]}`` where each entry has
 ``notion``, ``devices`` (list of file paths), and optionally ``witness_out``
-and ``report_out``; entries run concurrently with ``--jobs`` workers and
-per-check reports are written atomically.
+and ``report_out``; entries run one after another, in order, and per-check
+reports are written atomically.  The batch exits with the worst code of its
+entries.
+
+``--trace-log`` appends one line per solver sweep: sweep number, the gap
+between the two iterates, the most negative eigenvalue of the affine-side
+iterate (0 when none), and the norm of the Dykstra correction.
 """
 
 from __future__ import annotations
@@ -27,7 +34,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +44,6 @@ from .devices import (
     DimMismatch,
     Instrument,
     InvariantViolation,
-    Observable,
     QuantumChannel,
     induced_observable,
     total_channel,
@@ -56,23 +61,11 @@ EXIT_BY_STATUS = {
     "mismatch": 1,
     "undecided": 2,
     "error": 3,
+    "solver-error": 4,
 }
 
-_CHECKS = {
-    "obs-obs": (compat.check_obs_obs, (Observable, Observable)),
-    "obs-chan": (compat.check_obs_chan, (Observable, QuantumChannel)),
-    "chan-chan": (compat.check_chan_chan, (QuantumChannel, QuantumChannel)),
-    "weak": (compat.check_weak, (Instrument, Instrument)),
-    "traditional": (compat.check_traditional, (Instrument, Instrument)),
-    "parallel": (compat.check_parallel, (Instrument, Instrument)),
-    "redefined": (compat.check_redefined, (Instrument, Instrument)),
-}
-
-_FAMILIES = {
-    "obs-obs": (compat.obs_obs_family, (Observable, Observable)),
-    "chan-chan": (compat.chan_chan_family, (QuantumChannel, QuantumChannel)),
-    "parallel": (compat.parallel_family, (Instrument, Instrument)),
-}
+_CHECKS = {name: (notion.check, notion.kinds) for name, notion in compat.NOTIONS.items()}
+_FAMILIES = sorted(name for name, notion in compat.NOTIONS.items() if notion.mix)
 
 DEMO_NAMES = ("prop1", "prop2", "example1", "example2", "theorem1")
 
@@ -201,7 +194,8 @@ def _cmd_check_batch(
     except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise CliInputError(f"cannot read batch manifest {args.batch}: {exc}") from exc
 
-    def run(entry: dict) -> dict:
+    results = []
+    for entry in entries:
         try:
             doc = _run_one_check(
                 str(entry["notion"]),
@@ -212,15 +206,14 @@ def _cmd_check_batch(
             )
         except (CliInputError, InvariantViolation, DimMismatch) as exc:
             doc = _error_report(command, exc)
+        except compat.SolverError as exc:
+            doc = _error_report(command, exc, "solver-error")
         if entry.get("report_out"):
             _atomic_write(entry["report_out"], json.dumps(doc, indent=2))
-        return doc
-
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        results = list(pool.map(run, entries))
+        results.append(doc)
 
     worst = max((EXIT_BY_STATUS[r["status"]] for r in results), default=0)
-    status = {0: "ok", 1: "infeasible", 2: "undecided", 3: "error"}[worst]
+    status = {0: "ok", 1: "infeasible", 2: "undecided", 3: "error", 4: "solver-error"}[worst]
     doc = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "command": command,
@@ -238,19 +231,17 @@ def _cmd_check_batch(
 
 def _cmd_robustness(args: argparse.Namespace, command: list[str]) -> tuple[dict, int]:
     if args.notion not in _FAMILIES:
-        raise CliInputError(
-            f"robustness supports {sorted(_FAMILIES)}, got {args.notion!r}"
-        )
-    family_fn, kinds = _FAMILIES[args.notion]
+        raise CliInputError(f"robustness supports {_FAMILIES}, got {args.notion!r}")
     if len(args.devices) != 2:
         raise CliInputError("robustness takes exactly two device files")
     devices = [
-        _load_typed(path, kind, args.notion) for path, kind in zip(args.devices, kinds)
+        _load_typed(path, kind, args.notion)
+        for path, kind in zip(args.devices, compat.NOTIONS[args.notion].kinds)
     ]
     cfg = _solver_config(args)
     started = time.perf_counter()
     try:
-        value = robustness_bisect(family_fn(*devices), cfg)
+        value = robustness_bisect(compat.family(args.notion, *devices), cfg)
     except NotFeasibleAtOne as exc:
         raise CliInputError(str(exc)) from exc
     doc = {
@@ -332,14 +323,10 @@ def _identity_entry(name: str, residual: float, tol: float) -> dict:
 
 
 def _scenario_checks(sc: Scenario, cfg: SolverConfig, which: list[str]) -> list[dict]:
-    fns = {
-        "weak": compat.check_weak,
-        "traditional": compat.check_traditional,
-        "parallel": compat.check_parallel,
-        "redefined": compat.check_redefined,
-    }
     return [
-        _expect_entry(notion, notion, fns[notion](sc.first, sc.second, cfg), sc.expected[notion])
+        _expect_entry(
+            notion, notion, _CHECKS[notion][0](sc.first, sc.second, cfg), sc.expected[notion]
+        )
         for notion in which
     ]
 
@@ -539,7 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("devices", nargs="*", help="device JSON files")
     p_check.add_argument("--witness-out", default=None, help="write the joint device here")
     p_check.add_argument("--batch", default=None, help="run a manifest of checks instead")
-    p_check.add_argument("--jobs", type=int, default=1, help="concurrent checks in batch mode")
     add_solver_flags(p_check)
 
     p_demo = sub.add_parser("demo", help="reproduce a named scenario end to end")
@@ -548,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_solver_flags(p_demo)
 
     p_rob = sub.add_parser("robustness", help="bisect the noise level at which a pair turns compatible")
-    p_rob.add_argument("notion", help=f"one of {sorted(_FAMILIES)}")
+    p_rob.add_argument("notion", help=f"one of {_FAMILIES}")
     p_rob.add_argument("devices", nargs="*", help="device JSON files")
     add_solver_flags(p_rob)
 
@@ -558,12 +544,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _error_report(command: list[str], exc: Exception) -> dict:
+def _error_report(command: list[str], exc: Exception, status: str = "error") -> dict:
     doc = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "command": command,
         "action": "error",
-        "status": "error",
+        "status": status,
         "error": str(exc),
     }
     invariant = getattr(exc, "invariant", None)
@@ -591,6 +577,9 @@ def main(argv: list[str] | None = None) -> int:
     except (CliInputError, InvariantViolation, DimMismatch, compat.BadDistribution, ValueError) as exc:
         _emit(_error_report(command, exc))
         return EXIT_BY_STATUS["error"]
+    except compat.SolverError as exc:
+        _emit(_error_report(command, exc, "solver-error"))
+        return EXIT_BY_STATUS["solver-error"]
     _emit(report)
     return code
 

@@ -1,32 +1,39 @@
 """Compatibility deciders for pairs of quantum devices.
 
-Six checks plus their disjunction:
+The paper calls two instruments compatible when they are traditionally OR
+parallelly compatible, and recovers the older notions as special cases: an
+observable is an instrument with a one-dimensional output (branch x has Choi
+matrix A(x)^T) and a channel is an instrument with a single outcome.  So every
+solver-backed notion here is one :class:`Grid` problem: PSD blocks X_xy of one
+factor shape with  sum_y R1(X_xy) = T1_x  and  sum_x R2(X_xy) = T2_y,  where
+each R is the identity or the partial trace over one factor:
 
-* ``check_obs_obs``      -- joint POVM with prescribed outcome marginals;
-* ``check_obs_chan``     -- instrument measuring the observable while
-                            implementing the channel;
-* ``check_chan_chan``    -- broadcast channel with prescribed partial-trace
-                            marginals (infeasible for two identity channels:
-                            no cloning);
-* ``check_weak``         -- equality of total channels (exact, no solver);
-* ``check_traditional``  -- joint instrument over composite outcomes on a
-                            common output space, outcome-sum marginals;
-* ``check_parallel``     -- joint instrument onto a tensor-product output,
-                            outcome-sum plus partial-trace marginals;
-* ``check_redefined``    -- traditionally OR parallelly compatible.
+===========  =======  ===========  ======================  ======================
+notion       grid     block shape  first side              second side
+===========  =======  ===========  ======================  ======================
+obs-obs      na x nb  (d,)         effects A_x             effects B_y
+obs-chan     1 x n    (d, k)       channel C               A_y^T, trace out k
+chan-chan    1 x 1    (d, k1, k2)  channel C1, trace k2    channel C2, trace k1
+traditional  n1 x n2  (d, k)       branches of I1          branches of I2
+parallel     n1 x n2  (d, k1, k2)  I1 branches, trace k2   I2 branches, trace k1
+===========  =======  ===========  ======================  ======================
 
-Every solver-backed check returns a :class:`CompatReport` whose witness, when
-feasible, is reconstructed into a device object and re-validated against the
-original inputs.  Constructive counterparts (``parallel_composition``,
-``induced_joint_observable``, ``marginal_instrument``) build witnesses in
-closed form instead of solving for them.
+``weak`` compares total channels exactly, ``check_traditional`` runs it first
+(unequal totals rule out a common-output joint), and ``redefined`` is the
+disjunction traditional OR parallel.  :data:`NOTIONS` holds each notion's
+device kinds, grid, joint-device constructor and noise mixes.  A feasible
+witness is rebuilt into the joint device and re-validated with
+:func:`linalg.partial_trace`, independently of the solver's constraint
+coefficients; a witness failing either step raises :class:`SolverError`.
+``parallel_composition``, ``induced_joint_observable`` and
+``marginal_instrument`` build witnesses in closed form instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,14 +41,14 @@ from . import linalg
 from .devices import (
     DimMismatch,
     Instrument,
+    InvariantViolation,
     Observable,
     QuantumChannel,
     choi_compose,
     choi_tensor,
     composite_label,
     compose_instrument_channel,
-    dual_apply,
-    hermitian_part,
+    induced_observable,
     luders_instrument,
     split_composite,
     total_channel,
@@ -58,6 +65,12 @@ from .feasibility import (
 
 class BadDistribution(ValueError):
     """Weights fed to a scenario generator are not a probability table."""
+
+
+class SolverError(RuntimeError):
+    """The solver's answer cannot be trusted: a FEASIBLE witness that is not
+    a valid device or misses the marginals, or a solve that should succeed
+    by construction and did not."""
 
 
 NOTION_OBS_OBS = "obs-obs"
@@ -91,6 +104,25 @@ def _witness_tols(cfg: SolverConfig) -> dict[str, float]:
     return {"tol_psd": 10 * cfg.tol_psd, "tol_feas": 10 * cfg.tol_feas}
 
 
+# ---------------------------------------------------------------------------
+# The grid problem
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Grid:
+    """PSD blocks X_xy of factor shape ``shape``, stored row-major (block
+    x * n2 + y), with  sum_y R1(X_xy) = first[x]  and  sum_x R2(X_xy) =
+    second[y].  R1 (R2) traces out factor ``trace_first`` (``trace_second``),
+    or is the identity when that is None."""
+
+    shape: tuple[int, ...]
+    first: Sequence[np.ndarray]
+    second: Sequence[np.ndarray]
+    trace_first: int | None = None
+    trace_second: int | None = None
+
+
 @lru_cache(maxsize=None)
 def _pt_coeff(shape: tuple[int, ...], traced: tuple[int, ...]) -> np.ndarray:
     """Real coordinate matrix of the partial trace over ``traced`` factors."""
@@ -102,14 +134,90 @@ def _pt_coeff(shape: tuple[int, ...], traced: tuple[int, ...]) -> np.ndarray:
     )
 
 
-def _revalidate(residuals: Sequence[float], limit: float, label: str) -> str:
-    worst = max(residuals)
-    if worst > limit:
-        raise RuntimeError(
-            f"feasible witness failed re-validation against the original "
-            f"{label} (residual {worst:.3e} > {limit:.3e})"
-        )
-    return f"witness {label} residual {worst:.2e}"
+def _equations(grid: Grid) -> Iterator[tuple[list[int], int | None, np.ndarray]]:
+    """Yield (block indices, traced factor or None, target) per grid equation."""
+    n1, n2 = len(grid.first), len(grid.second)
+    for x, target in enumerate(grid.first):
+        yield [x * n2 + y for y in range(n2)], grid.trace_first, target
+    for y, target in enumerate(grid.second):
+        yield [x * n2 + y for x in range(n1)], grid.trace_second, target
+
+
+def _grid_constraints(grid: Grid) -> AffineConstraintSet:
+    builder = ConstraintBuilder()
+    for _ in range(len(grid.first) * len(grid.second)):
+        builder.add_block(int(np.prod(grid.shape)), grid.shape)
+    for cells, factor, target in _equations(grid):
+        # Tracing out a factor of dimension 1 is the identity term.
+        traced = factor is not None and grid.shape[factor] > 1
+        coeff = _pt_coeff(grid.shape, (factor,)) if traced else None
+        builder.add_equality([(k, coeff) for k in cells], target)
+    return builder.build()
+
+
+def _grid_residuals(grid: Grid, blocks: Sequence[np.ndarray]) -> list[float]:
+    """Frobenius misfit of every grid equation on ``blocks``, recomputed with
+    :func:`linalg.partial_trace` rather than the solver's coefficients."""
+
+    def reduce(m: np.ndarray, factor: int | None) -> np.ndarray:
+        return m if factor is None else linalg.partial_trace(m, grid.shape, {factor})
+
+    return [
+        float(np.linalg.norm(sum(reduce(blocks[k], factor) for k in cells) - target))
+        for cells, factor, target in _equations(grid)
+    ]
+
+
+def _require_same_input(first, second) -> None:
+    if first.in_dim != second.in_dim:
+        raise DimMismatch(f"devices have input dims {first.in_dim} and {second.in_dim}")
+
+
+def _decide(notion: str, first, second, cfg: SolverConfig | None) -> CompatReport:
+    """Solve the notion's grid; rebuild and re-validate a feasible witness."""
+    _require_same_input(first, second)
+    cfg = _cfg(cfg)
+    record = NOTIONS[notion]
+    grid = record.grid(first, second)
+    verdict = dykstra_solve(_grid_constraints(grid), cfg)
+    report = CompatReport(notion, verdict)
+    if verdict.status is Status.FEASIBLE:
+        try:
+            joint = record.joint(verdict.witness, first, second, **_witness_tols(cfg))
+        except InvariantViolation as exc:
+            raise SolverError(f"{notion} witness is not a valid device: {exc}") from exc
+        worst = max(_grid_residuals(grid, verdict.witness))
+        limit = 10 * cfg.tol_feas
+        if worst > limit:
+            raise SolverError(
+                f"{notion} witness failed re-validation against the original "
+                f"devices (residual {worst:.3e} > {limit:.3e})"
+            )
+        report.notes.append(f"witness marginals residual {worst:.2e}")
+        report.joint_device = joint
+    return report
+
+
+def _constraints(notion: str, first, second) -> AffineConstraintSet:
+    return _grid_constraints(NOTIONS[notion].grid(first, second))
+
+
+def _obs_obs_constraints(a: Observable, b: Observable) -> AffineConstraintSet:
+    return _constraints(NOTION_OBS_OBS, a, b)
+
+
+def _chan_chan_constraints(c1: QuantumChannel, c2: QuantumChannel) -> AffineConstraintSet:
+    return _constraints(NOTION_CHAN_CHAN, c1, c2)
+
+
+def _traditional_constraints(i1: Instrument, i2: Instrument) -> AffineConstraintSet:
+    return _constraints(NOTION_TRADITIONAL, i1, i2)
+
+
+def _parallel_marginal_residuals(
+    giant: Instrument, i1: Instrument, i2: Instrument
+) -> list[float]:
+    return _grid_residuals(NOTIONS[NOTION_PARALLEL].grid(i1, i2), giant.branches)
 
 
 # ---------------------------------------------------------------------------
@@ -117,132 +225,30 @@ def _revalidate(residuals: Sequence[float], limit: float, label: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _obs_obs_constraints(a: Observable, b: Observable) -> AffineConstraintSet:
-    builder = ConstraintBuilder()
-    d = a.in_dim
-    idx = {
-        (x, y): builder.add_block(d)
-        for x in a.outcomes
-        for y in b.outcomes
-    }
-    for x in a.outcomes:
-        builder.add_equality([(idx[(x, y)], None) for y in b.outcomes], a.effect(x))
-    for y in b.outcomes:
-        builder.add_equality([(idx[(x, y)], None) for x in a.outcomes], b.effect(y))
-    return builder.build()
-
-
 def check_obs_obs(
     a: Observable, b: Observable, cfg: SolverConfig | None = None
 ) -> CompatReport:
     """Joint measurability of two observables on the same space."""
-    if a.in_dim != b.in_dim:
-        raise DimMismatch(f"observables act on dims {a.in_dim} and {b.in_dim}")
-    cfg = _cfg(cfg)
-    verdict = dykstra_solve(_obs_obs_constraints(a, b), cfg)
-    report = CompatReport(NOTION_OBS_OBS, verdict)
-    if verdict.status is Status.FEASIBLE:
-        blocks = verdict.witness
-        labels = [
-            composite_label(x, y) for x in a.outcomes for y in b.outcomes
-        ]
-        joint = Observable(blocks, labels, **_witness_tols(cfg))
-        residuals = []
-        n_b = b.n_outcomes
-        for i, x in enumerate(a.outcomes):
-            row = sum(blocks[i * n_b + j] for j in range(n_b))
-            residuals.append(np.linalg.norm(row - a.effect(x)))
-        for j, y in enumerate(b.outcomes):
-            col = sum(blocks[i * n_b + j] for i in range(a.n_outcomes))
-            residuals.append(np.linalg.norm(col - b.effect(y)))
-        report.notes.append(_revalidate(residuals, 10 * cfg.tol_feas, "marginals"))
-        report.joint_device = joint
-    return report
-
-
-def _obs_chan_constraints(a: Observable, c: QuantumChannel) -> AffineConstraintSet:
-    builder = ConstraintBuilder()
-    d_in, d_out = c.in_dim, c.out_dim
-    shape = (d_in, d_out)
-    blocks = [builder.add_block(d_in * d_out, shape) for _ in a.outcomes]
-    builder.add_equality([(k, None) for k in blocks], c.choi)
-    pt_out = _pt_coeff(shape, (1,))
-    for k, x in zip(blocks, a.outcomes):
-        # branch*(I) = A(x)  <=>  tr_out(branch Choi) = A(x)^T
-        builder.add_equality([(k, pt_out)], a.effect(x).T)
-    return builder.build()
+    return _decide(NOTION_OBS_OBS, a, b, cfg)
 
 
 def check_obs_chan(
     a: Observable, c: QuantumChannel, cfg: SolverConfig | None = None
 ) -> CompatReport:
     """Is there one instrument measuring ``a`` whose total channel is ``c``?"""
-    if a.in_dim != c.in_dim:
-        raise DimMismatch(f"observable dim {a.in_dim} != channel input dim {c.in_dim}")
-    cfg = _cfg(cfg)
-    verdict = dykstra_solve(_obs_chan_constraints(a, c), cfg)
-    report = CompatReport(NOTION_OBS_CHAN, verdict)
-    if verdict.status is Status.FEASIBLE:
-        inst = Instrument(
-            verdict.witness, c.in_dim, c.out_dim, a.outcomes, **_witness_tols(cfg)
-        )
-        eye = np.eye(c.out_dim)
-        residuals = [
-            np.linalg.norm(
-                dual_apply(br, eye, c.in_dim, c.out_dim) - a.effect(x)
-            )
-            for br, x in zip(inst.branches, a.outcomes)
-        ]
-        residuals.append(np.linalg.norm(sum(inst.branches) - c.choi))
-        report.notes.append(
-            _revalidate(residuals, 10 * cfg.tol_feas, "instrument marginals")
-        )
-        report.joint_device = inst
-    return report
-
-
-def _chan_chan_constraints(c1: QuantumChannel, c2: QuantumChannel) -> AffineConstraintSet:
-    builder = ConstraintBuilder()
-    d, k1, k2 = c1.in_dim, c1.out_dim, c2.out_dim
-    shape = (d, k1, k2)
-    block = builder.add_block(d * k1 * k2, shape)
-    builder.add_equality([(block, _pt_coeff(shape, (2,)))], c1.choi)
-    builder.add_equality([(block, _pt_coeff(shape, (1,)))], c2.choi)
-    return builder.build()
+    return _decide(NOTION_OBS_CHAN, a, c, cfg)
 
 
 def check_chan_chan(
     c1: QuantumChannel, c2: QuantumChannel, cfg: SolverConfig | None = None
 ) -> CompatReport:
     """Broadcast compatibility of two channels with a common input space."""
-    if c1.in_dim != c2.in_dim:
-        raise DimMismatch(f"channels have input dims {c1.in_dim} and {c2.in_dim}")
-    cfg = _cfg(cfg)
-    verdict = dykstra_solve(_chan_chan_constraints(c1, c2), cfg)
-    report = CompatReport(NOTION_CHAN_CHAN, verdict)
-    if verdict.status is Status.FEASIBLE:
-        d, k1, k2 = c1.in_dim, c1.out_dim, c2.out_dim
-        joint = QuantumChannel(verdict.witness[0], d, k1 * k2, **_witness_tols(cfg))
-        shape = (d, k1, k2)
-        residuals = [
-            np.linalg.norm(linalg.partial_trace(joint.choi, shape, {2}) - c1.choi),
-            np.linalg.norm(linalg.partial_trace(joint.choi, shape, {1}) - c2.choi),
-        ]
-        report.notes.append(
-            _revalidate(residuals, 10 * cfg.tol_feas, "channel marginals")
-        )
-        report.joint_device = joint
-    return report
+    return _decide(NOTION_CHAN_CHAN, c1, c2, cfg)
 
 
 # ---------------------------------------------------------------------------
 # Instrument compatibility
 # ---------------------------------------------------------------------------
-
-
-def _require_same_input(i1: Instrument, i2: Instrument) -> None:
-    if i1.in_dim != i2.in_dim:
-        raise DimMismatch(f"instruments have input dims {i1.in_dim} and {i2.in_dim}")
 
 
 def check_weak(
@@ -268,22 +274,6 @@ def check_weak(
     if feasible:
         report.joint_device = total_channel(i1, **_witness_tols(cfg))
     return report
-
-
-def _traditional_constraints(i1: Instrument, i2: Instrument) -> AffineConstraintSet:
-    builder = ConstraintBuilder()
-    d = i1.in_dim * i1.out_dim
-    shape = (i1.in_dim, i1.out_dim)
-    idx = {
-        (x, y): builder.add_block(d, shape)
-        for x in i1.outcomes
-        for y in i2.outcomes
-    }
-    for x in i1.outcomes:
-        builder.add_equality([(idx[(x, y)], None) for y in i2.outcomes], i1.branch(x))
-    for y in i2.outcomes:
-        builder.add_equality([(idx[(x, y)], None) for x in i1.outcomes], i2.branch(y))
-    return builder.build()
 
 
 def check_traditional(
@@ -314,44 +304,7 @@ def check_traditional(
         report = CompatReport(NOTION_TRADITIONAL, weak.verdict)
         report.notes.append("weak precheck failed")
         return report
-
-    verdict = dykstra_solve(_traditional_constraints(i1, i2), cfg)
-    report = CompatReport(NOTION_TRADITIONAL, verdict)
-    if verdict.status is Status.FEASIBLE:
-        blocks = verdict.witness
-        labels = [composite_label(x, y) for x in i1.outcomes for y in i2.outcomes]
-        joint = Instrument(
-            blocks, i1.in_dim, i1.out_dim, labels, **_witness_tols(cfg)
-        )
-        residuals = []
-        n2 = i2.n_outcomes
-        for i, x in enumerate(i1.outcomes):
-            row = sum(blocks[i * n2 + j] for j in range(n2))
-            residuals.append(np.linalg.norm(row - i1.branch(x)))
-        for j, y in enumerate(i2.outcomes):
-            col = sum(blocks[i * n2 + j] for i in range(i1.n_outcomes))
-            residuals.append(np.linalg.norm(col - i2.branch(y)))
-        report.notes.append(_revalidate(residuals, 10 * cfg.tol_feas, "branch marginals"))
-        report.joint_device = joint
-    return report
-
-
-def _parallel_constraints(i1: Instrument, i2: Instrument) -> AffineConstraintSet:
-    builder = ConstraintBuilder()
-    d, k1, k2 = i1.in_dim, i1.out_dim, i2.out_dim
-    shape = (d, k1, k2)
-    idx = {
-        (x, y): builder.add_block(d * k1 * k2, shape)
-        for x in i1.outcomes
-        for y in i2.outcomes
-    }
-    pt_k2 = _pt_coeff(shape, (2,))
-    pt_k1 = _pt_coeff(shape, (1,))
-    for x in i1.outcomes:
-        builder.add_equality([(idx[(x, y)], pt_k2) for y in i2.outcomes], i1.branch(x))
-    for y in i2.outcomes:
-        builder.add_equality([(idx[(x, y)], pt_k1) for x in i1.outcomes], i2.branch(y))
-    return builder.build()
+    return _decide(NOTION_TRADITIONAL, i1, i2, cfg)
 
 
 def check_parallel(
@@ -363,46 +316,7 @@ def check_parallel(
     summing over y and tracing out the second output factor, and vice versa.
     Output dimensions may differ.
     """
-    _require_same_input(i1, i2)
-    cfg = _cfg(cfg)
-    verdict = dykstra_solve(_parallel_constraints(i1, i2), cfg)
-    report = CompatReport(NOTION_PARALLEL, verdict)
-    if verdict.status is Status.FEASIBLE:
-        d, k1, k2 = i1.in_dim, i1.out_dim, i2.out_dim
-        blocks = verdict.witness
-        labels = [composite_label(x, y) for x in i1.outcomes for y in i2.outcomes]
-        giant = Instrument(blocks, d, k1 * k2, labels, **_witness_tols(cfg))
-        report.notes.append(
-            _revalidate(
-                _parallel_marginal_residuals(giant, i1, i2),
-                10 * cfg.tol_feas,
-                "parallel marginals",
-            )
-        )
-        report.joint_device = giant
-    return report
-
-
-def _parallel_marginal_residuals(
-    giant: Instrument, i1: Instrument, i2: Instrument
-) -> list[float]:
-    d, k1, k2 = i1.in_dim, i1.out_dim, i2.out_dim
-    shape = (d, k1, k2)
-    n2 = i2.n_outcomes
-    residuals = []
-    for i, x in enumerate(i1.outcomes):
-        row = sum(
-            linalg.partial_trace(giant.branches[i * n2 + j], shape, {2})
-            for j in range(n2)
-        )
-        residuals.append(float(np.linalg.norm(row - i1.branch(x))))
-    for j, y in enumerate(i2.outcomes):
-        col = sum(
-            linalg.partial_trace(giant.branches[i * n2 + j], shape, {1})
-            for i in range(i1.n_outcomes)
-        )
-        residuals.append(float(np.linalg.norm(col - i2.branch(y))))
-    return residuals
+    return _decide(NOTION_PARALLEL, i1, i2, cfg)
 
 
 def check_redefined(
@@ -413,7 +327,6 @@ def check_redefined(
     Both legs always run; the notes record each leg's outcome.  When neither
     leg succeeds but one is undecided, the disjunction is undecided too.
     """
-    _require_same_input(i1, i2)
     cfg = _cfg(cfg)
     trad = check_traditional(i1, i2, cfg)
     par = check_parallel(i1, i2, cfg)
@@ -494,12 +407,7 @@ def induced_joint_observable(giant: Instrument, **kwargs) -> Observable:
     outcome-group sums reproduce the observables induced by the instrument's
     parallel marginals.
     """
-    eye = np.eye(giant.out_dim)
-    effects = [
-        hermitian_part(dual_apply(b, eye, giant.in_dim, giant.out_dim))
-        for b in giant.branches
-    ]
-    return Observable(effects, giant.outcomes, **kwargs)
+    return induced_observable(giant, **kwargs)
 
 
 def observable_marginal(joint: Observable, side: str, **kwargs) -> Observable:
@@ -586,18 +494,99 @@ def mix_instrument(i: Instrument, t: float) -> Instrument:
     return Instrument(branches, i.in_dim, i.out_dim, i.outcomes)
 
 
+def family(notion: str, first, second) -> Callable[[float], AffineConstraintSet]:
+    """Grid problems of ``notion`` with both devices mixed toward noise t."""
+    mix_first, mix_second = NOTIONS[notion].mix
+    return lambda t: _constraints(notion, mix_first(first, t), mix_second(second, t))
+
+
 def obs_obs_family(a: Observable, b: Observable) -> Callable[[float], AffineConstraintSet]:
-    return lambda t: _obs_obs_constraints(mix_observable(a, t), mix_observable(b, t))
+    return family(NOTION_OBS_OBS, a, b)
 
 
 def chan_chan_family(
     c1: QuantumChannel, c2: QuantumChannel
 ) -> Callable[[float], AffineConstraintSet]:
-    return lambda t: _chan_chan_constraints(mix_channel(c1, t), mix_channel(c2, t))
+    return family(NOTION_CHAN_CHAN, c1, c2)
 
 
 def parallel_family(i1: Instrument, i2: Instrument) -> Callable[[float], AffineConstraintSet]:
-    return lambda t: _parallel_constraints(mix_instrument(i1, t), mix_instrument(i2, t))
+    return family(NOTION_PARALLEL, i1, i2)
+
+
+# ---------------------------------------------------------------------------
+# The notion table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Notion:
+    """How one notion is decided; see the table in the module docstring.
+
+    ``grid(first, second)`` states the grid problem and ``joint(blocks,
+    first, second, **tols)`` rebuilds the joint device from a solver
+    witness; both are None for the notions decided without a grid solve.
+    ``mix`` holds the noise mix ``(device, t) -> device`` of each device for
+    the notions with a robustness family.
+    """
+
+    check: Callable[..., CompatReport]
+    kinds: tuple[type, type]
+    grid: Callable[..., Grid] | None = None
+    joint: Callable[..., Observable | QuantumChannel | Instrument] | None = None
+    mix: tuple[Callable, Callable] | None = None
+
+
+def _pair_labels(first, second) -> list[str]:
+    return [composite_label(x, y) for x in first.outcomes for y in second.outcomes]
+
+
+NOTIONS: dict[str, Notion] = {
+    NOTION_OBS_OBS: Notion(
+        check_obs_obs,
+        (Observable, Observable),
+        grid=lambda a, b: Grid((a.in_dim,), a.effects, b.effects),
+        joint=lambda w, a, b, **tols: Observable(w, _pair_labels(a, b), **tols),
+        mix=(mix_observable, mix_observable),
+    ),
+    # branch_y*(I) = A(y)  <=>  tr_out(branch Choi) = A(y)^T
+    NOTION_OBS_CHAN: Notion(
+        check_obs_chan,
+        (Observable, QuantumChannel),
+        grid=lambda a, c: Grid((c.in_dim, c.out_dim), [c.choi], [e.T for e in a.effects], None, 1),
+        joint=lambda w, a, c, **tols: Instrument(w, c.in_dim, c.out_dim, a.outcomes, **tols),
+    ),
+    NOTION_CHAN_CHAN: Notion(
+        check_chan_chan,
+        (QuantumChannel, QuantumChannel),
+        grid=lambda c1, c2: Grid((c1.in_dim, c1.out_dim, c2.out_dim), [c1.choi], [c2.choi], 2, 1),
+        joint=lambda w, c1, c2, **tols: QuantumChannel(
+            w[0], c1.in_dim, c1.out_dim * c2.out_dim, **tols
+        ),
+        mix=(mix_channel, mix_channel),
+    ),
+    NOTION_WEAK: Notion(check_weak, (Instrument, Instrument)),
+    NOTION_TRADITIONAL: Notion(
+        check_traditional,
+        (Instrument, Instrument),
+        grid=lambda i1, i2: Grid((i1.in_dim, i1.out_dim), i1.branches, i2.branches),
+        joint=lambda w, i1, i2, **tols: Instrument(
+            w, i1.in_dim, i1.out_dim, _pair_labels(i1, i2), **tols
+        ),
+    ),
+    NOTION_PARALLEL: Notion(
+        check_parallel,
+        (Instrument, Instrument),
+        grid=lambda i1, i2: Grid(
+            (i1.in_dim, i1.out_dim, i2.out_dim), i1.branches, i2.branches, 2, 1
+        ),
+        joint=lambda w, i1, i2, **tols: Instrument(
+            w, i1.in_dim, i1.out_dim * i2.out_dim, _pair_labels(i1, i2), **tols
+        ),
+        mix=(mix_instrument, mix_instrument),
+    ),
+    NOTION_REDEFINED: Notion(check_redefined, (Instrument, Instrument)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -721,7 +710,7 @@ def gen_parallel_only_pair(
     noisy_identity = mix_channel(QuantumChannel.identity(h), 0.5)
     broadcast_report = check_chan_chan(noisy_identity, noisy_identity, cfg)
     if broadcast_report.status is not Status.FEASIBLE:
-        raise RuntimeError(
+        raise SolverError(
             "broadcast solve for two half-depolarized identities did not "
             f"converge: {broadcast_report.status.value}"
         )
@@ -739,8 +728,7 @@ def gen_parallel_only_pair(
         local2 = compose_instrument_channel(
             luders_instrument(random_sharp_observable(h2, rng)), gamma2
         )
-        tols = {"tol_psd": 10 * cfg.tol_psd, "tol_feas": 10 * cfg.tol_feas}
-        i1, i2, giant = parallel_composition(lam, local1, local2, **tols)
+        i1, i2, giant = parallel_composition(lam, local1, local2, **_witness_tols(cfg))
         total_gap = np.linalg.norm(sum(i1.branches) - sum(i2.branches))
         if total_gap > 1e-6:
             break

@@ -61,6 +61,8 @@ def decode_matrix(data: Any, name: str, square: bool = True) -> np.ndarray:
             f"matrix {name!r} must be {'square ' if square else ''}with [re, im] "
             f"entries, got shape {arr.shape}",
         )
+    if not np.all(np.isfinite(arr)):
+        raise InvariantViolation("file.matrix_finite", f"matrix {name!r} has non-finite entries")
     return arr[:, :, 0] + 1j * arr[:, :, 1]
 
 

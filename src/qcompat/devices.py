@@ -72,6 +72,12 @@ def _default_labels(n: int) -> tuple[str, ...]:
     return tuple(str(i) for i in range(n))
 
 
+def _require_finite(m: np.ndarray, invariant: str, what: str) -> None:
+    # NaN fails every comparison, so it would slip through the checks below.
+    if not np.all(np.isfinite(m)):
+        raise InvariantViolation(invariant, f"{what} has non-finite entries")
+
+
 def _frozen(m: np.ndarray) -> np.ndarray:
     out = np.array(m, dtype=complex)
     out.setflags(write=False)
@@ -175,17 +181,16 @@ def choi_compose(
     inner_choi: np.ndarray,
     inner_dims: tuple[int, int],
 ) -> np.ndarray:
-    """Choi matrix of (outer ∘ inner); the inner output must feed the outer
-    input."""
+    """Choi matrix of (outer ∘ inner), computed as the link product
+    J[i p, j q] = sum_ab J_inner[i a, j b] J_outer[a p, b q]; the inner output
+    must feed the outer input."""
     h, mid = inner_dims
     mid2, out = outer_dims
     if mid != mid2:
         raise DimMismatch(f"cannot chain maps: {inner_dims} then {outer_dims}")
-
-    def composed(rho: np.ndarray) -> np.ndarray:
-        return apply_choi(outer_choi, apply_choi(inner_choi, rho, h, mid), mid, out)
-
-    return choi_of_map(composed, h, out)
+    inner = np.asarray(inner_choi, dtype=complex).reshape(h, mid, h, mid)
+    outer = np.asarray(outer_choi, dtype=complex).reshape(mid, out, mid, out)
+    return np.einsum("iajb,apbq->ipjq", inner, outer).reshape(h * out, h * out)
 
 
 def choi_tensor(
@@ -250,6 +255,7 @@ class Observable:
                     "observable.effect_shape",
                     f"effect {label!r} has shape {e.shape}, expected ({self.in_dim}, {self.in_dim})",
                 )
+            _require_finite(e, "observable.effect_finite", f"effect {label!r}")
             try:
                 as_hermitian(e)
             except linalg.NotHermitian as exc:
@@ -315,6 +321,8 @@ class QuantumChannel:
                 "channel.shape",
                 f"Choi matrix has shape {self.choi.shape}, expected ({d}, {d})",
             )
+        for m in (self.choi, *(self.kraus or ())):
+            _require_finite(m, "channel.finite", "channel matrix")
         try:
             as_hermitian(self.choi, tol=1e-9)
         except linalg.NotHermitian as exc:
@@ -433,6 +441,7 @@ class Instrument:
                     "instrument.branch_shape",
                     f"branch {label!r} has shape {b.shape}, expected ({d}, {d})",
                 )
+            _require_finite(b, "instrument.branch_finite", f"branch {label!r}")
             try:
                 as_hermitian(b, tol=1e-9)
             except linalg.NotHermitian as exc:

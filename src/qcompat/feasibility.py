@@ -297,7 +297,7 @@ def _dykstra_loop(
         window.append(gap)
 
         if trace is not None:
-            trace.write(f"{it},{gap:.6e},{max(0.0, -neg):.6e},{gap:.6e}\n")
+            trace.write(f"{it},{gap:.6e},{max(0.0, -neg):.6e},{np.linalg.norm(p):.6e}\n")
 
         if gap <= cfg.tol_feas:
             return FeasibilityVerdict(

@@ -5,9 +5,11 @@ import sys
 import numpy as np
 import pytest
 
+from qcompat import compatibility
 from qcompat.cli import EXIT_BY_STATUS, main
 from qcompat.deviceio import load_device, save_device
 from qcompat.devices import Instrument, induced_observable, total_channel
+from qcompat.feasibility import FeasibilityVerdict, Status
 from qcompat.sampling import random_instrument
 
 
@@ -110,6 +112,63 @@ class TestCheck:
         assert json.loads(json.dumps(report)) == report
 
 
+class TestNonFiniteInput:
+    def nan_observable(self, tmp_path, fixtures_dir):
+        doc = json.loads((fixtures_dir / "sharp_x.json").read_text())
+        doc["matrices"]["+"][0][0] = [float("nan"), 0.0]
+        doc["matrices"]["-"][1][1] = [0.5, float("nan")]
+        path = tmp_path / "nan_x.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_validate_rejects_nan(self, tmp_path, fixtures_dir, capsys):
+        code, report = run_cli(["validate", str(self.nan_observable(tmp_path, fixtures_dir))], capsys)
+        assert code == 3
+        assert report["files"][0]["violated_invariant"] == "file.matrix_finite"
+
+    def test_check_rejects_nan(self, tmp_path, fixtures_dir, capsys):
+        bad = self.nan_observable(tmp_path, fixtures_dir)
+        code, report = run_cli(["check", "obs-obs", str(bad), str(fixtures_dir / "sharp_z.json")], capsys)
+        assert code == 3
+        assert report["status"] == "error"
+        assert report["violated_invariant"] == "file.matrix_finite"
+
+
+class TestSolverError:
+    """A FEASIBLE answer whose witness fails its checks is a solver error."""
+
+    @pytest.fixture(params=["misses-marginals", "not-a-device"])
+    def bad_witness(self, request, monkeypatch):
+        if request.param == "misses-marginals":
+            # A valid joint observable whose marginals are trivial, not X and Z.
+            witness = [np.eye(2) / 4] * 4
+        else:
+            witness = [np.diag([1.0, -1.0])] + [np.zeros((2, 2))] * 3
+
+        def solve(cs, cfg=None, trace=None):
+            return FeasibilityVerdict(Status.FEASIBLE, witness, 0.0, 0.0, 0.0, 1)
+
+        monkeypatch.setattr(compatibility, "dykstra_solve", solve)
+
+    def argv(self, fixtures_dir):
+        return ["obs-obs", str(fixtures_dir / "sharp_x.json"), str(fixtures_dir / "sharp_z.json")]
+
+    def test_single_check(self, bad_witness, fixtures_dir, capsys):
+        code, report = run_cli(["check", *self.argv(fixtures_dir)], capsys)
+        assert code == 4
+        assert report["status"] == "solver-error"
+        assert EXIT_BY_STATUS[report["status"]] == code
+
+    def test_batch_entry(self, bad_witness, fixtures_dir, tmp_path, capsys):
+        notion, *devices = self.argv(fixtures_dir)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"checks": [{"notion": notion, "devices": devices}]}))
+        code, report = run_cli(["check", "--batch", str(manifest)], capsys)
+        assert code == 4
+        assert report["status"] == "solver-error"
+        assert [r["status"] for r in report["results"]] == ["solver-error"]
+
+
 class TestBatch:
     def test_manifest_runs_concurrently(self, fixtures_dir, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"
@@ -139,7 +198,7 @@ class TestBatch:
                 }
             )
         )
-        code, report = run_cli(["check", "--batch", str(manifest), "--jobs", "2"], capsys)
+        code, report = run_cli(["check", "--batch", str(manifest)], capsys)
         assert code == 1  # worst individual verdict
         assert [r["status"] for r in report["results"]] == ["infeasible", "feasible"]
         assert json.loads(out1.read_text())["status"] == "infeasible"

@@ -22,6 +22,7 @@ from qcompat.compatibility import (
     mix_observable,
     observable_marginal,
     parallel_composition,
+    parallel_family,
     _parallel_marginal_residuals,
 )
 from qcompat.devices import (
@@ -467,6 +468,19 @@ class TestMixers:
         assert dykstra_solve(family(0.0)).status is Status.INFEASIBLE
         assert dykstra_solve(family(0.5)).status is Status.FEASIBLE
         assert dykstra_solve(family(1.0)).status is Status.FEASIBLE
+
+
+    def test_parallel_family_endpoints(self, fixtures_dir):
+        from qcompat.deviceio import load_device
+        from qcompat.feasibility import dykstra_solve
+
+        p = load_device(fixtures_dir / "prop2_p.json")
+        q = load_device(fixtures_dir / "prop2_q.json")
+        family = parallel_family(p, q)
+        assert dykstra_solve(family(1.0)).status is Status.FEASIBLE
+        noiseless = dykstra_solve(family(0.0))
+        assert noiseless.status is Status.INFEASIBLE
+        assert noiseless.status is check_parallel(p, q).status
 
 
 class TestGenerators:

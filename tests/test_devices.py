@@ -252,7 +252,35 @@ class TestCompose:
         ) <= 1e-10
 
 
+    def test_choi_compose_equals_probed_composition(self, rng):
+        # Reference: the Choi matrix probed from the sequential map.
+        for _ in range(10):
+            inner = random_channel(2, 3, 2, rng)
+            outer = random_channel(3, 2, 3, rng)
+            probed = choi_of_map(
+                lambda rho: apply_choi(outer.choi, apply_choi(inner.choi, rho, 2, 3), 3, 2), 2, 2
+            )
+            j = choi_compose(outer.choi, (3, 2), inner.choi, (2, 3))
+            assert np.max(np.abs(j - probed)) <= 1e-12
+
+
 class TestValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries(self, bad):
+        e = np.array([[bad, 0.0], [0.0, 0.5]])
+        choi = IDENT_CHOI.copy()
+        choi[0, 0] = bad
+        cases = [
+            (lambda: Observable([e, EYE2 - e]), "observable.effect_finite"),
+            (lambda: QuantumChannel(choi, 2, 2), "channel.finite"),
+            (lambda: QuantumChannel(IDENT_CHOI, 2, 2, kraus=[e]), "channel.finite"),
+            (lambda: Instrument([choi, IDENT_CHOI], 2, 2), "instrument.branch_finite"),
+        ]
+        for build, invariant in cases:
+            with pytest.raises(InvariantViolation) as err:
+                build()
+            assert err.value.invariant == invariant
+
     def test_effect_not_psd(self):
         with pytest.raises(InvariantViolation) as err:
             Observable([1.5 * EYE2, -0.5 * EYE2])

@@ -153,6 +153,15 @@ class TestDykstra:
         assert path.read_text().splitlines()[0].startswith("#")
 
 
+def test_trace_log_columns_are_distinct(sharp_x, sharp_z):
+    buf = io.StringIO()
+    dykstra_solve(_obs_obs_constraints(sharp_x, sharp_z), SolverConfig(), trace=buf)
+    rows = [line.split(",") for line in buf.getvalue().splitlines() if not line.startswith("#")]
+    gap = np.array([float(r[1]) for r in rows])
+    correction = np.array([float(r[3]) for r in rows])
+    assert np.any(gap != correction)
+
+
 class TestRobustness:
     def test_compatible_family_returns_zero(self, sharp_z):
         assert robustness_bisect(obs_obs_family(sharp_z, sharp_z)) == 0.0
