@@ -18,8 +18,10 @@ witness that is not a valid device or misses the marginals).
 A batch manifest is a JSON object ``{"checks": [...]}`` where each entry has
 ``notion``, ``devices`` (list of file paths), and optionally ``witness_out``
 and ``report_out``; entries run one after another, in order, and per-check
-reports are written atomically.  The batch exits with the worst code of its
-entries.
+reports are written atomically.  An entry that is not an object with a
+string ``notion``, a list ``devices`` and string paths gets an error report
+of its own.  The batch exits with the
+worst code of its entries.
 
 ``--trace-log`` appends one line per solver sweep: sweep number, the gap
 between the two iterates, the most negative eigenvalue of the affine-side
@@ -193,13 +195,26 @@ def _cmd_check_batch(
         entries = manifest["checks"]
     except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise CliInputError(f"cannot read batch manifest {args.batch}: {exc}") from exc
+    if not isinstance(entries, list):
+        raise CliInputError(f"batch manifest {args.batch}: 'checks' must be a list")
 
     results = []
     for entry in entries:
+        well_formed = (
+            isinstance(entry, dict)
+            and isinstance(entry.get("notion"), str)
+            and isinstance(entry.get("devices"), list)
+            and all(isinstance(entry.get(k, ""), str) for k in ("witness_out", "report_out"))
+        )
         try:
+            if not well_formed:
+                raise CliInputError(
+                    "a batch entry must be an object with a string 'notion', a list "
+                    "'devices', and strings for 'witness_out' and 'report_out' if given"
+                )
             doc = _run_one_check(
-                str(entry["notion"]),
-                [str(p) for p in entry.get("devices", [])],
+                entry["notion"],
+                [str(p) for p in entry["devices"]],
                 cfg,
                 entry.get("witness_out"),
                 command,
@@ -208,7 +223,7 @@ def _cmd_check_batch(
             doc = _error_report(command, exc)
         except compat.SolverError as exc:
             doc = _error_report(command, exc, "solver-error")
-        if entry.get("report_out"):
+        if well_formed and entry.get("report_out"):
             _atomic_write(entry["report_out"], json.dumps(doc, indent=2))
         results.append(doc)
 

@@ -24,7 +24,7 @@ disjunction traditional OR parallel.  :data:`NOTIONS` holds each notion's
 device kinds, grid, joint-device constructor and noise mixes.  A feasible
 witness is rebuilt into the joint device and re-validated with
 :func:`linalg.partial_trace`, independently of the solver's constraint
-coefficients; a witness failing either step raises :class:`SolverError`.
+operator; a witness failing either step raises :class:`SolverError`.
 ``parallel_composition``, ``induced_joint_observable`` and
 ``marginal_instrument`` build witnesses in closed form instead.
 """
@@ -32,7 +32,6 @@ coefficients; a witness failing either step raises :class:`SolverError`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -123,17 +122,6 @@ class Grid:
     trace_second: int | None = None
 
 
-@lru_cache(maxsize=None)
-def _pt_coeff(shape: tuple[int, ...], traced: tuple[int, ...]) -> np.ndarray:
-    """Real coordinate matrix of the partial trace over ``traced`` factors."""
-    in_dim = int(np.prod(shape))
-    kept = [d for i, d in enumerate(shape) if i not in traced]
-    out_dim = int(np.prod(kept))
-    return linalg.linmap_matrix(
-        lambda m: linalg.partial_trace(m, shape, set(traced)), in_dim, out_dim
-    )
-
-
 def _equations(grid: Grid) -> Iterator[tuple[list[int], int | None, np.ndarray]]:
     """Yield (block indices, traced factor or None, target) per grid equation."""
     n1, n2 = len(grid.first), len(grid.second)
@@ -148,16 +136,13 @@ def _grid_constraints(grid: Grid) -> AffineConstraintSet:
     for _ in range(len(grid.first) * len(grid.second)):
         builder.add_block(int(np.prod(grid.shape)), grid.shape)
     for cells, factor, target in _equations(grid):
-        # Tracing out a factor of dimension 1 is the identity term.
-        traced = factor is not None and grid.shape[factor] > 1
-        coeff = _pt_coeff(grid.shape, (factor,)) if traced else None
-        builder.add_equality([(k, coeff) for k in cells], target)
+        builder.add_equality([(k, factor) for k in cells], target)
     return builder.build()
 
 
 def _grid_residuals(grid: Grid, blocks: Sequence[np.ndarray]) -> list[float]:
     """Frobenius misfit of every grid equation on ``blocks``, recomputed with
-    :func:`linalg.partial_trace` rather than the solver's coefficients."""
+    :func:`linalg.partial_trace` rather than the solver's operator."""
 
     def reduce(m: np.ndarray, factor: int | None) -> np.ndarray:
         return m if factor is None else linalg.partial_trace(m, grid.shape, {factor})

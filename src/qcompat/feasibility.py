@@ -1,10 +1,20 @@
 """Convex feasibility: affine subspace meets a product of PSD cones.
 
-A problem instance is a list of Hermitian matrix blocks, each constrained to
-the PSD cone, plus affine equality constraints over the blocks'
-:func:`~qcompat.linalg.herm_to_vec` coordinates.  Membership of the
-intersection is decided by alternating projections with Dykstra correction
-terms on the cone side; affine subspaces need no correction.
+A problem instance is a stack ``X`` of n Hermitian blocks of one factor shape
+(a complex array of shape ``(n, D, D)``), each block constrained to the PSD
+cone, plus affine equalities ``A X = b``.  Each equality sums blocks, each
+reduced by the identity or by the partial trace over one factor, and sets
+the sum to a Hermitian target.  ``A`` and its adjoint ``A†`` (which embeds
+with an identity on the traced factor) act on the stack directly; the small
+Gram matrix ``G = A A†`` is factored once per constraint structure, and the
+affine projection is ``X - A†(G⁺(A X - b))``.  The Frobenius norm on the
+stack is the norm the projections are orthogonal in.
+
+Membership of the intersection is decided by alternating projections with
+Dykstra correction terms on the cone side; affine subspaces need no
+correction.  Each sweep projects the whole stack onto the cone with one
+batched eigendecomposition and tests the affine-side iterate with one
+batched eigenvalue solve.
 
 Infeasibility is read off numerically: the Frobenius distance between the
 cone-side and affine-side iterates is non-increasing and converges to the
@@ -16,13 +26,15 @@ instances time out as ``Status.UNDECIDED`` instead of guessing.
 from __future__ import annotations
 
 import enum
+import math
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, IO, Sequence
 
 import numpy as np
 
-from .linalg import herm_to_vec, vec_to_herm
+from .linalg import as_hermitian
 
 
 class InconsistentConstraints(ValueError):
@@ -56,8 +68,10 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         for name in ("tol_feas", "tol_psd", "tol_gap"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            # NaN fails every comparison and inf passes every one.
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.max_iter < self.stall_window:
             raise ValueError("max_iter must be at least stall_window")
 
@@ -72,163 +86,198 @@ class FeasibilityVerdict:
     iterations: int
 
 
-class AffineConstraintSet:
-    """Equality constraints over the concatenated block coordinates.
+# A reduction keeps a block whole (None) or, for a factor shape collapsed to
+# (p, k, q) around the traced factor, traces out the k.
+_Split = tuple[int, int, int] | None
 
-    The raw system is reduced to an orthonormal full-row-rank form by SVD at
-    build time; with orthonormal rows the constraint residual of a point is
-    exactly its distance to the affine set.
+
+def _reduce(m: np.ndarray, split: _Split) -> np.ndarray:
+    """Partial trace of each matrix of a stack."""
+    if split is None:
+        return m
+    p, k, q = split
+    return np.trace(m.reshape(-1, p, k, q, p, k, q), axis1=2, axis2=5).reshape(-1, p * q, p * q)
+
+
+def _embed(m: np.ndarray, split: _Split) -> np.ndarray:
+    """Adjoint of :func:`_reduce`: each matrix tensored with the identity on k."""
+    if split is None:
+        return m
+    p, k, q = split
+    t = m.reshape(-1, p, 1, q, p, 1, q) * np.eye(k).reshape(1, 1, k, 1, 1, k, 1)
+    return t.reshape(-1, p * k * q, p * k * q)
+
+
+def _out_dim(shape: tuple[int, ...], split: _Split) -> int:
+    return math.prod(shape) // (1 if split is None else split[1])
+
+
+@dataclass(frozen=True)
+class _Factor:
+    """Equations grouped by reduction, and the Gram pseudo-inverse.
+
+    Row e of group (split, incidence, rows) sums the blocks weighted by
+    ``incidence[e]`` and reduces the sum; the group's outputs fill the
+    ``rows`` slice of the concatenated left-hand sides.  ``order`` lists the
+    equation behind each group row, group by group.
     """
 
-    def __init__(
-        self,
-        variable_shapes: Sequence[tuple[int, tuple[int, ...]]],
-        matrix: np.ndarray,
-        rhs: np.ndarray,
-        rank_cutoff: float = 1e-10,
-    ):
-        self.variable_shapes = [(int(d), tuple(s)) for d, s in variable_shapes]
-        self.block_dims = [d for d, _ in self.variable_shapes]
-        sizes = [d * d for d in self.block_dims]
-        self.offsets = np.concatenate(([0], np.cumsum(sizes)))
-        self.total_size = int(self.offsets[-1])
+    groups: tuple[tuple[_Split, np.ndarray, slice], ...]
+    order: tuple[int, ...]
+    gram_pinv: np.ndarray
+    rank: int
 
-        matrix = np.asarray(matrix, dtype=float)
-        rhs = np.asarray(rhs, dtype=float)
-        if matrix.shape != (rhs.size, self.total_size):
-            raise ValueError(
-                f"constraint matrix shape {matrix.shape} does not match "
-                f"{rhs.size} rows x {self.total_size} coordinates"
-            )
 
-        u, s, vt = np.linalg.svd(matrix, full_matrices=False)
-        keep = s > rank_cutoff * (s[0] if s.size else 1.0)
-        self.rank = int(np.count_nonzero(keep))
-        # Orthonormal-row reduction of the system; particular solution x0 is
-        # the min-norm least-squares point.
-        self._row_basis = vt[: self.rank]  # (rank, total)
-        coeffs = (u[:, keep].T @ rhs) / s[keep]
-        self.x0 = self._row_basis.T @ coeffs
-        self.constraint_matrix = self._row_basis
-        self.rhs = self._row_basis @ self.x0
-        self.inconsistency = float(np.linalg.norm(matrix @ self.x0 - rhs))
-        self._consistency_tol = 1e-10 * (1.0 + float(np.linalg.norm(rhs)))
+_RANK_CUTOFF = 1e-10  # relative to the largest Gram eigenvalue
+
+
+@lru_cache(maxsize=64)
+def _gram_factor(shape: tuple[int, ...], n_blocks: int, structure: tuple) -> _Factor:
+    """Factor ``G = A A†`` for equations ``structure``, a tuple of (traced
+    factor or None, blocks summed).  Targets do not enter, so every problem
+    of one structure shares the factor."""
+    groups, order, start = [], [], 0
+    for traced in dict.fromkeys(f for f, _ in structure):
+        eqs = [e for e, (f, _) in enumerate(structure) if f == traced]
+        incidence = np.zeros((len(eqs), n_blocks), dtype=complex)
+        for row, e in enumerate(eqs):
+            np.add.at(incidence[row], list(structure[e][1]), 1.0)
+        split = None if traced is None else (
+            math.prod(shape[:traced]), shape[traced], math.prod(shape[traced + 1 :])
+        )
+        size = len(eqs) * _out_dim(shape, split) ** 2
+        groups.append((split, incidence, slice(start, start + size)))
+        order.extend(eqs)
+        start += size
+
+    def coupling(g, h):
+        # Rows of g against rows of h: the blocks both sum, times R_g R_h†.
+        (split_g, inc_g, _), (split_h, inc_h, _) = g, h
+        out = _out_dim(shape, split_h)
+        units = np.eye(out * out).reshape(-1, out, out)
+        maps = _reduce(_embed(units, split_h), split_g).reshape(out * out, -1)
+        return np.kron(inc_g @ inc_h.T, maps.T)
+
+    w, v = np.linalg.eigh(np.block([[coupling(g, h) for h in groups] for g in groups]))
+    keep = w > _RANK_CUTOFF * w[-1]
+    pinv = (v[:, keep] / w[keep]) @ v[:, keep].conj().T
+    pinv.setflags(write=False)
+    return _Factor(tuple(groups), tuple(order), pinv, int(np.count_nonzero(keep)))
+
+
+class AffineConstraintSet:
+    """Equalities ``A X = b`` on a stack ``X`` of n Hermitian blocks.
+
+    ``equations`` lists ``(terms, target)``, each term ``(block, traced
+    factor or None)``; the terms of one equation trace the same factor.
+    ``project`` is exact, ``X - A†(G⁺(A X - b))``, with the Gram
+    pseudo-inverse ``G⁺`` shared by all sets of one structure.  ``rank``
+    counts the independent real equations, ``total_size`` the real
+    coordinates n·D².
+    """
+
+    def __init__(self, shape: tuple[int, ...], n_blocks: int, equations: Sequence[tuple]):
+        dim = math.prod(shape)
+        self.stack_shape = (n_blocks, dim, dim)
+        self.total_size = n_blocks * dim * dim
+        structure = tuple(
+            (terms[0][1] if terms else None, tuple(b for b, _ in terms)) for terms, _ in equations
+        )
+        self._factor = _gram_factor(tuple(shape), n_blocks, structure)
+        self.rank = self._factor.rank
+        self._rhs = np.concatenate([np.ravel(equations[e][1]) for e in self._factor.order])
+        x0 = self._adjoint(self._factor.gram_pinv @ self._rhs)
+        self.inconsistency = float(np.linalg.norm(self._apply(x0) - self._rhs))
+        self._consistency_tol = 1e-10 * (1.0 + float(np.linalg.norm(self._rhs)))
 
     @property
     def consistent(self) -> bool:
         return self.inconsistency <= self._consistency_tol
 
-    def residual(self, v: np.ndarray) -> float:
-        """Distance from ``v`` to the affine set."""
-        return float(np.linalg.norm(self._row_basis @ v - self.rhs))
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        """A X: the left-hand sides, row by row of ``order``, flattened."""
+        flat = x.reshape(len(x), -1)
+        return np.concatenate(
+            [_reduce(inc @ flat, split).ravel() for split, inc, _ in self._factor.groups]
+        )
 
-    def project(self, v: np.ndarray) -> np.ndarray:
+    def _adjoint(self, r: np.ndarray) -> np.ndarray:
+        """A† r: a stack of blocks."""
+        out = 0
+        for split, inc, rows in self._factor.groups:
+            out = out + inc.T @ _embed(r[rows], split).reshape(len(inc), -1)
+        return out.reshape(self.stack_shape)
+
+    def _correction(self, x: np.ndarray) -> np.ndarray:
+        return self._adjoint(self._factor.gram_pinv @ (self._apply(x) - self._rhs))
+
+    def residual(self, x: np.ndarray) -> float:
+        """Distance from ``x`` to the affine set."""
+        return float(np.linalg.norm(self._correction(x)))
+
+    def project(self, x: np.ndarray) -> np.ndarray:
         if not self.consistent:
             raise InconsistentConstraints(
                 f"affine system is empty (best residual {self.inconsistency:.3e})"
             )
-        return v - self._row_basis.T @ (self._row_basis @ v) + self.x0
-
-    def split(self, v: np.ndarray) -> list[np.ndarray]:
-        """Slice a concatenated coordinate vector back into Hermitian blocks."""
-        return [
-            vec_to_herm(v[self.offsets[k] : self.offsets[k + 1]])
-            for k in range(len(self.block_dims))
-        ]
-
-
-def project_affine(v: np.ndarray, cs: AffineConstraintSet) -> np.ndarray:
-    """Orthogonal projection of ``v`` onto the affine constraint set."""
-    v = np.asarray(v, dtype=float)
-    if v.size != cs.total_size:
-        raise ValueError(f"vector length {v.size}, expected {cs.total_size}")
-    return cs.project(v)
+        return x - self._correction(x)
 
 
 class ConstraintBuilder:
     """Assemble an :class:`AffineConstraintSet` block by block.
 
-    Equalities have the form  sum_k  C_k . x_{b_k} = herm_to_vec(target),
-    where each coefficient ``C_k`` is a real matrix on coordinates (``None``
-    meaning the identity, for plain block sums).
+    All blocks share one factor shape.  An equality reads  sum_k R_k(X_{b_k})
+    = target,  each term naming a block ``b_k`` and the factor that ``R_k``
+    traces out; None, like a factor of dimension 1, keeps the block whole.
     """
 
     def __init__(self) -> None:
-        self._shapes: list[tuple[int, tuple[int, ...]]] = []
-        self._equations: list[tuple[list[tuple[int, np.ndarray | None]], np.ndarray]] = []
+        self._shape: tuple[int, ...] | None = None
+        self._n_blocks = 0
+        self._equations: list[tuple[list[tuple[int, int | None]], np.ndarray]] = []
 
     def add_block(self, dim: int, factor_shape: Sequence[int] | None = None) -> int:
-        shape = tuple(factor_shape) if factor_shape is not None else (dim,)
-        if int(np.prod(shape)) != dim:
+        shape = tuple(int(s) for s in factor_shape) if factor_shape is not None else (dim,)
+        if math.prod(shape) != dim:
             raise ValueError(f"factor shape {shape} does not multiply to dim {dim}")
-        self._shapes.append((dim, shape))
-        return len(self._shapes) - 1
+        if self._shape not in (None, shape):
+            raise ValueError(f"block shape {shape} differs from the earlier {self._shape}")
+        self._shape = shape
+        self._n_blocks += 1
+        return self._n_blocks - 1
 
-    def add_equality(
-        self,
-        terms: Sequence[tuple[int, np.ndarray | None]],
-        target: np.ndarray,
-    ) -> None:
-        rhs_vec = herm_to_vec(target, tol=1e-9)
-        checked: list[tuple[int, np.ndarray | None]] = []
-        for block, coeff in terms:
-            dim = self._shapes[block][0]
-            if coeff is not None:
-                coeff = np.asarray(coeff, dtype=float)
-                if coeff.shape != (rhs_vec.size, dim * dim):
-                    raise ValueError(
-                        f"coefficient shape {coeff.shape} does not map block "
-                        f"{block} ({dim * dim} coords) to {rhs_vec.size} rows"
-                    )
-            elif dim * dim != rhs_vec.size:
-                raise ValueError(
-                    f"identity term needs block dim {dim} to match target"
-                )
-            checked.append((block, coeff))
-        self._equations.append((checked, rhs_vec))
+    def add_equality(self, terms: Sequence[tuple[int, int | None]], target: np.ndarray) -> None:
+        shape = self._shape or ()
+        if any(not 0 <= b < self._n_blocks for b, _ in terms):
+            raise ValueError(f"equation names a block outside 0..{self._n_blocks - 1}")
+        if any(f is not None and not 0 <= f < len(shape) for _, f in terms):
+            raise ValueError(f"equation traces a factor outside the block shape {shape}")
+        traced = {None if f is None or shape[f] == 1 else f for _, f in terms}
+        if len(traced) > 1:
+            raise ValueError("the terms of one equation must trace the same factor")
+        factor = traced.pop() if traced else None
+        out = math.prod(shape) // (1 if factor is None else shape[factor])
+        target = as_hermitian(target, tol=1e-9)
+        if target.shape != (out, out):
+            raise ValueError(f"target of shape {target.shape} does not match terms of dim {out}")
+        self._equations.append(([(b, factor) for b, _ in terms], target))
 
     def build(self) -> AffineConstraintSet:
-        sizes = [d * d for d, _ in self._shapes]
-        offsets = np.concatenate(([0], np.cumsum(sizes)))
-        total = int(offsets[-1])
-        n_rows = sum(rhs.size for _, rhs in self._equations)
-        matrix = np.zeros((n_rows, total))
-        rhs = np.zeros(n_rows)
-        row = 0
-        for terms, target in self._equations:
-            n = target.size
-            for block, coeff in terms:
-                col = offsets[block]
-                width = sizes[block]
-                section = matrix[row : row + n, col : col + width]
-                if coeff is None:
-                    section += np.eye(n)
-                else:
-                    section += coeff
-            rhs[row : row + n] = target
-            row += n
-        return AffineConstraintSet(self._shapes, matrix, rhs)
+        return AffineConstraintSet(self._shape or (), self._n_blocks, self._equations)
 
 
-def _project_psd_blocks(v: np.ndarray, cs: AffineConstraintSet) -> np.ndarray:
-    out = np.empty_like(v)
-    for k, d in enumerate(cs.block_dims):
-        lo, hi = cs.offsets[k], cs.offsets[k + 1]
-        m = vec_to_herm(v[lo:hi])
-        w, vecs = np.linalg.eigh(m)
-        np.maximum(w, 0.0, out=w)
-        proj = (vecs * w) @ vecs.conj().T
-        out[lo:hi] = herm_to_vec((proj + proj.conj().T) / 2, tol=np.inf)
-    return out
+def _project_psd(z: np.ndarray) -> np.ndarray:
+    w, v = np.linalg.eigh(z)
+    y = (v * np.maximum(w, 0.0)[:, None, :]) @ v.conj().swapaxes(1, 2)
+    return (y + y.conj().swapaxes(1, 2)) / 2
 
 
-def _min_block_eig(v: np.ndarray, cs: AffineConstraintSet) -> float:
-    lo_eig = np.inf
-    for k in range(len(cs.block_dims)):
-        lo, hi = cs.offsets[k], cs.offsets[k + 1]
-        w = np.linalg.eigvalsh(vec_to_herm(v[lo:hi]))
-        lo_eig = min(lo_eig, float(w[0]))
-    return lo_eig
+def _min_eig(x: np.ndarray) -> float:
+    return float(np.linalg.eigvalsh(x)[:, 0].min())
+
+
+def _blocks(x: np.ndarray) -> list[np.ndarray]:
+    return list((x + x.conj().swapaxes(1, 2)) / 2)
 
 
 _STALL_CHECK_EVERY = 25
@@ -265,58 +314,46 @@ def dykstra_solve(
 def _dykstra_loop(
     cs: AffineConstraintSet, cfg: SolverConfig, trace: IO[str] | None
 ) -> FeasibilityVerdict:
-    if not cs.consistent:
+    gap, neg, it = cs.inconsistency, 0.0, 0
+
+    def verdict(status: Status, witness=None, affine=None, psd=None) -> FeasibilityVerdict:
         return FeasibilityVerdict(
-            status=Status.INFEASIBLE,
-            witness=None,
-            residual_affine=cs.inconsistency,
-            residual_psd=0.0,
-            gap_estimate=cs.inconsistency,
-            iterations=0,
+            status=status,
+            witness=witness,
+            residual_affine=gap if affine is None else affine,
+            residual_psd=max(0.0, -neg) if psd is None else psd,
+            gap_estimate=gap,
+            iterations=it,
         )
+
+    if not cs.consistent:
+        return verdict(Status.INFEASIBLE)
     if trace is not None:
         trace.write(
-            f"# solve: blocks={cs.block_dims} rows={cs.rank} "
+            f"# solve: blocks={'x'.join(map(str, cs.stack_shape))} rows={cs.rank} "
             f"tol_feas={cfg.tol_feas:g} tol_gap={cfg.tol_gap:g}\n"
         )
 
-    x = cs.project(np.zeros(cs.total_size))
-    p = np.zeros(cs.total_size)
+    x = cs.project(np.zeros(cs.stack_shape, dtype=complex))
+    p = np.zeros(cs.stack_shape, dtype=complex)
     window: deque[float] = deque(maxlen=cfg.stall_window)
-
-    gap = np.inf
-    neg = -np.inf
-    it = 0
+    gap, neg = np.inf, -np.inf
     for it in range(1, cfg.max_iter + 1):
         z = x + p
-        y = _project_psd_blocks(z, cs)
+        y = _project_psd(z)
         p = z - y
         x = cs.project(y)
         gap = float(np.linalg.norm(y - x))
-        neg = _min_block_eig(x, cs)
+        neg = _min_eig(x)
         window.append(gap)
 
         if trace is not None:
             trace.write(f"{it},{gap:.6e},{max(0.0, -neg):.6e},{np.linalg.norm(p):.6e}\n")
 
         if gap <= cfg.tol_feas:
-            return FeasibilityVerdict(
-                status=Status.FEASIBLE,
-                witness=cs.split(y),
-                residual_affine=gap,
-                residual_psd=max(0.0, -_min_block_eig(y, cs)),
-                gap_estimate=gap,
-                iterations=it,
-            )
+            return verdict(Status.FEASIBLE, _blocks(y), psd=max(0.0, -_min_eig(y)))
         if neg >= -cfg.tol_psd:
-            return FeasibilityVerdict(
-                status=Status.FEASIBLE,
-                witness=cs.split(x),
-                residual_affine=cs.residual(x),
-                residual_psd=max(0.0, -neg),
-                gap_estimate=gap,
-                iterations=it,
-            )
+            return verdict(Status.FEASIBLE, _blocks(x), affine=cs.residual(x))
         if (
             it % _STALL_CHECK_EVERY == 0
             and len(window) == cfg.stall_window
@@ -324,23 +361,8 @@ def _dykstra_loop(
         ):
             hi, lo = max(window), min(window)
             if hi - lo <= 0.01 * hi:
-                return FeasibilityVerdict(
-                    status=Status.INFEASIBLE,
-                    witness=None,
-                    residual_affine=gap,
-                    residual_psd=max(0.0, -neg),
-                    gap_estimate=gap,
-                    iterations=it,
-                )
-
-    return FeasibilityVerdict(
-        status=Status.UNDECIDED,
-        witness=None,
-        residual_affine=gap,
-        residual_psd=max(0.0, -neg),
-        gap_estimate=gap,
-        iterations=it,
-    )
+                return verdict(Status.INFEASIBLE)
+    return verdict(Status.UNDECIDED)
 
 
 def robustness_bisect(

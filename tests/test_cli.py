@@ -12,6 +12,8 @@ from qcompat.devices import Instrument, induced_observable, total_channel
 from qcompat.feasibility import FeasibilityVerdict, Status
 from qcompat.sampling import random_instrument
 
+from conftest import FIXTURES_DIR
+
 
 def run_cli(args, capsys):
     code = main(args)
@@ -205,6 +207,30 @@ class TestBatch:
         assert json.loads(out2.read_text())["status"] == "feasible"
 
 
+class TestMalformedBatchEntry:
+    WEAK = {"notion": "weak", "devices": [str(FIXTURES_DIR / "prop2_p.json")] * 2}
+
+    @pytest.mark.parametrize(
+        "bad",
+        [{"devices": []}, "x", {**WEAK, "report_out": 5}],
+        ids=["no-notion", "not-an-object", "report-out-not-a-path"],
+    )
+    def test_entry_reported_and_others_run(self, bad, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"checks": [bad, self.WEAK]}))
+        code, report = run_cli(["check", "--batch", str(manifest)], capsys)
+        assert code == 3
+        assert [r["status"] for r in report["results"]] == ["error", "feasible"]
+        assert "notion" in report["results"][0]["error"]
+
+    def test_checks_not_a_list(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"checks": 5}))
+        code, report = run_cli(["check", "--batch", str(manifest)], capsys)
+        assert code == 3
+        assert report["status"] == "error"
+
+
 class TestRobustness:
     def test_sharp_pair(self, fixtures_dir, capsys):
         code, report = run_cli(
@@ -314,3 +340,21 @@ def test_solver_flags_reach_config(fixtures_dir, capsys):
     )
     assert code == 1
     assert report["iterations"] <= 600
+
+
+def test_non_finite_tolerance_is_input_error(fixtures_dir, capsys):
+    # Before the check, inf made every residual pass: feasible after 1 sweep.
+    code, report = run_cli(
+        [
+            "check",
+            "obs-obs",
+            str(fixtures_dir / "sharp_x.json"),
+            str(fixtures_dir / "sharp_z.json"),
+            "--tol-feas",
+            "inf",
+        ],
+        capsys,
+    )
+    assert code == 3
+    assert report["status"] == "error"
+    assert "tol_feas" in report["error"]

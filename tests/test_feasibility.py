@@ -1,24 +1,33 @@
 import io
+import math
 
 import numpy as np
 import pytest
 
-from qcompat.compatibility import _chan_chan_constraints, _obs_obs_constraints, obs_obs_family
-from qcompat.devices import QuantumChannel
+from qcompat import compatibility, linalg
+from qcompat.compatibility import (
+    NOTIONS,
+    _chan_chan_constraints,
+    _constraints,
+    _grid_residuals,
+    _obs_obs_constraints,
+    obs_obs_family,
+)
+from qcompat.deviceio import load_device
+from qcompat.devices import Instrument, QuantumChannel
 from qcompat.feasibility import (
-    AffineConstraintSet,
     ConstraintBuilder,
     InconsistentConstraints,
     NotFeasibleAtOne,
     SolverConfig,
     Status,
     dykstra_solve,
-    project_affine,
     robustness_bisect,
 )
-from qcompat.linalg import herm_to_vec
+from qcompat.sampling import random_channel, random_instrument
 
-from conftest import EYE2, PAULI_X, PAULI_Z, busch_compatible, noisy_pauli
+from conftest import PAULI_X, PAULI_Z, busch_compatible, noisy_pauli, random_hermitian
+from hermitian_coords import herm_to_vec, linmap_matrix, vec_to_herm
 
 
 def sharp(axis):
@@ -40,50 +49,144 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(max_iter=10, stall_window=100)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["tol_feas", "tol_psd", "tol_gap"])
+    def test_rejects_non_finite_tolerance(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            SolverConfig(**{name: value})
+
+
+def _inconsistent_traces() -> ConstraintBuilder:
+    # tr(X) = 1 and tr(X) = 2 on one qubit block: tracing out its only factor.
+    builder = ConstraintBuilder()
+    block = builder.add_block(2)
+    builder.add_equality([(block, 0)], np.eye(1))
+    builder.add_equality([(block, 0)], 2.0 * np.eye(1))
+    return builder
+
 
 class TestProjectAffine:
     def test_zero_sum_constraint(self):
         builder = ConstraintBuilder()
         block = builder.add_block(2)
-        builder.add_equality([(block, np.ones((1, 4)))], np.zeros((1, 1)))
+        builder.add_equality([(block, 0)], np.zeros((1, 1)))
         cs = builder.build()
-        assert np.allclose(project_affine(np.zeros(4), cs), np.zeros(4))
+        assert np.allclose(cs.project(np.zeros((1, 2, 2))), 0.0)
 
     def test_joint_povm_fixed_point(self, sharp_z):
         cs = _obs_obs_constraints(sharp_z, sharp_z)
         p0 = np.diag([1.0, 0.0])
         p1 = np.diag([0.0, 1.0])
-        point = np.concatenate(
-            [herm_to_vec(g) for g in (p0, np.zeros((2, 2)), np.zeros((2, 2)), p1)]
-        )
-        assert np.linalg.norm(project_affine(point, cs) - point) <= 1e-10
+        point = np.array([p0, np.zeros((2, 2)), np.zeros((2, 2)), p1], dtype=complex)
+        assert np.linalg.norm(cs.project(point) - point) <= 1e-10
 
     def test_projection_lands_on_set(self, rng):
-        cs = _obs_obs_constraints(sharp(PAULI_X), sharp(PAULI_Z))
-        v = rng.normal(size=cs.total_size)
-        projected = cs.project(v)
-        assert cs.residual(projected) <= 1e-10 * (1 + np.linalg.norm(cs.rhs))
+        a, b = sharp(PAULI_X), sharp(PAULI_Z)
+        cs = _obs_obs_constraints(a, b)
+        point = np.array([random_hermitian(2, rng) for _ in range(4)])
+        projected = cs.project(point)
+        assert cs.residual(projected) <= 1e-10
+        grid = NOTIONS["obs-obs"].grid(a, b)
+        assert max(_grid_residuals(grid, projected)) <= 1e-10
 
     def test_inconsistent_traces(self):
-        builder = ConstraintBuilder()
-        block = builder.add_block(2)
-        trace_row = herm_to_vec(EYE2).reshape(1, -1)
-        builder.add_equality([(block, trace_row)], np.eye(1))
-        builder.add_equality([(block, trace_row)], 2.0 * np.eye(1))
-        cs = builder.build()
+        cs = _inconsistent_traces().build()
         assert not cs.consistent
         with pytest.raises(InconsistentConstraints):
-            cs.project(np.zeros(4))
+            cs.project(np.zeros((1, 2, 2)))
 
     def test_inconsistent_reported_infeasible(self):
-        builder = ConstraintBuilder()
-        block = builder.add_block(2)
-        trace_row = herm_to_vec(EYE2).reshape(1, -1)
-        builder.add_equality([(block, trace_row)], np.eye(1))
-        builder.add_equality([(block, trace_row)], 2.0 * np.eye(1))
-        verdict = dykstra_solve(builder.build())
+        verdict = dykstra_solve(_inconsistent_traces().build())
         assert verdict.status is Status.INFEASIBLE
         assert verdict.iterations == 0
+
+
+def test_builder_rejects_malformed_equations():
+    builder = ConstraintBuilder()
+    block = builder.add_block(4, (2, 2))
+    with pytest.raises(ValueError, match="same factor"):
+        builder.add_equality([(block, 0), (block, 1)], np.eye(2))
+    with pytest.raises(ValueError, match="factor outside"):
+        builder.add_equality([(block, 2)], np.eye(2))
+    with pytest.raises(ValueError, match="block outside"):
+        builder.add_equality([(1, None)], np.eye(4))
+    with pytest.raises(ValueError, match="does not match"):
+        builder.add_equality([(block, 0)], np.eye(4))
+    with pytest.raises(ValueError, match="differs"):
+        builder.add_block(4, (4,))
+
+
+def _dense_reference(grid) -> tuple[np.ndarray, np.ndarray]:
+    """The grid's equalities as a dense real system on the stacked blocks'
+    :func:`herm_to_vec` coordinates, each partial trace materialized from
+    :func:`linalg.partial_trace` by :func:`linmap_matrix`."""
+    n1, n2 = len(grid.first), len(grid.second)
+    dim = math.prod(grid.shape)
+    equations = [([x * n2 + y for y in range(n2)], grid.trace_first, t) for x, t in enumerate(grid.first)]
+    equations += [([x * n2 + y for x in range(n1)], grid.trace_second, t) for y, t in enumerate(grid.second)]
+    rows, rhs = [], []
+    for cells, factor, target in equations:
+        if factor is None:
+            coeff = np.eye(dim * dim)
+        else:
+            coeff = linmap_matrix(
+                lambda m: linalg.partial_trace(m, grid.shape, {factor}), dim, dim // grid.shape[factor]
+            )
+        rows.append(np.hstack([coeff if k in cells else 0 * coeff for k in range(n1 * n2)]))
+        rhs.append(herm_to_vec(target, tol=1e-9))
+    return np.vstack(rows), np.concatenate(rhs)
+
+
+def _grid_cases():
+    rng = np.random.default_rng(31)
+    sx, sz = sharp(PAULI_X), sharp(PAULI_Z)
+    chan = compatibility.mix_channel(random_channel(2, 2, 2, rng), 0.3)
+    wide = compatibility.mix_channel(random_channel(2, 3, 2, rng), 0.3)
+    i1 = random_instrument(2, 2, 2, 1, rng)
+    i2 = random_instrument(2, 2, 3, 1, rng)
+    # Same total channel as i1, so the traditional system is consistent.
+    j2 = Instrument([w * sum(i1.branches) for w in (0.3, 0.7)], 2, 2)
+    return {
+        "obs-obs": (sx, noisy_pauli(PAULI_Z, 0.8)),
+        "obs-chan": (sz, chan),
+        "chan-chan": (chan, wide),
+        "traditional": (i1, j2),
+        "parallel": (i1, i2),
+    }
+
+
+@pytest.mark.parametrize("notion", ["obs-obs", "obs-chan", "chan-chan", "traditional", "parallel"])
+def test_projection_matches_dense_reference(notion, rng):
+    first, second = _grid_cases()[notion]
+    grid = NOTIONS[notion].grid(first, second)
+    cs = _constraints(notion, first, second)
+    matrix, rhs = _dense_reference(grid)
+    n = len(grid.first) * len(grid.second)
+    dim = math.prod(grid.shape)
+    point = np.array([random_hermitian(dim, rng) for _ in range(n)])
+    coords = np.concatenate([herm_to_vec(m) for m in point])
+    step = np.linalg.lstsq(matrix, matrix @ coords - rhs, rcond=None)[0]
+    ref = np.array([vec_to_herm(c) for c in (coords - step).reshape(n, dim * dim)])
+
+    projected = cs.project(point)
+    assert np.linalg.norm(projected - ref) <= 1e-10
+    assert np.linalg.norm(cs.project(projected) - projected) <= 1e-10
+    assert cs.rank == np.linalg.matrix_rank(matrix)
+    assert cs.total_size == n * dim * dim
+
+
+@pytest.mark.parametrize(
+    "notion, first, second, sweeps",
+    [
+        ("obs-obs", "sharp_x", "sharp_z", 500),
+        ("parallel", "prop1_i1", "prop1_i2", 143),
+        ("parallel", "prop2_p", "prop2_q", 525),
+        ("chan-chan", "identity_channel", "identity_channel", 525),
+    ],
+)
+def test_fixture_sweep_counts(notion, first, second, sweeps, fixtures_dir):
+    a, b = (load_device(fixtures_dir / f"{name}.json") for name in (first, second))
+    assert NOTIONS[notion].check(a, b).verdict.iterations == sweeps
 
 
 class TestDykstra:
@@ -175,13 +278,3 @@ class TestRobustness:
         cs = _obs_obs_constraints(sharp_x, sharp_z)
         with pytest.raises(NotFeasibleAtOne):
             robustness_bisect(lambda t: cs)
-
-
-def test_constraint_set_reports_shapes(sharp_x, sharp_z):
-    cs = _obs_obs_constraints(sharp_x, sharp_z)
-    assert cs.block_dims == [2, 2, 2, 2]
-    assert cs.total_size == 16
-    assert cs.constraint_matrix.shape[1] == 16
-    # orthonormal reduced rows
-    gram = cs.constraint_matrix @ cs.constraint_matrix.T
-    assert np.allclose(gram, np.eye(cs.rank))

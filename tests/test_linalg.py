@@ -4,22 +4,19 @@ import pytest
 from qcompat import linalg
 from qcompat.linalg import (
     BadFactorIndex,
-    LengthMismatch,
     NonLinearityDetected,
     NotHermitian,
     ShapeMismatch,
     as_hermitian,
     eigh,
-    herm_to_vec,
-    linmap_matrix,
     partial_trace,
     project_psd,
     reorder_factors,
     tensor,
-    vec_to_herm,
 )
 
 from conftest import EYE2, PAULI_X, PAULI_Z, random_hermitian
+from hermitian_coords import LengthMismatch, herm_to_vec, linmap_matrix, vec_to_herm
 
 
 class TestTensor:
