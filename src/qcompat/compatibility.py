@@ -4,19 +4,21 @@ The paper calls two instruments compatible when they are traditionally OR
 parallelly compatible, and recovers the older notions as special cases: an
 observable is an instrument with a one-dimensional output (branch x has Choi
 matrix A(x)^T) and a channel is an instrument with a single outcome.  So every
-solver-backed notion here is one :class:`Grid` problem: PSD blocks X_xy of one
-factor shape with  sum_y R1(X_xy) = T1_x  and  sum_x R2(X_xy) = T2_y,  where
-each R is the identity or the partial trace over one factor:
+solver-backed notion here is one grid, stated as a
+:class:`~qcompat.feasibility.ConstraintBuilder`: PSD blocks X_xy of factor
+shape ``shape`` with  sum_y R1(X_xy) = first[x]  and  sum_x R2(X_xy) =
+second[y],  where R1 (R2) is the identity or the partial trace over factor
+``trace_first`` (``trace_second``):
 
-===========  =======  ===========  ======================  ======================
-notion       grid     block shape  first side              second side
-===========  =======  ===========  ======================  ======================
-obs-obs      na x nb  (d,)         effects A_x             effects B_y
-obs-chan     1 x n    (d, k)       channel C               A_y^T, trace out k
-chan-chan    1 x 1    (d, k1, k2)  channel C1, trace k2    channel C2, trace k1
-traditional  n1 x n2  (d, k)       branches of I1          branches of I2
-parallel     n1 x n2  (d, k1, k2)  I1 branches, trace k2   I2 branches, trace k1
-===========  =======  ===========  ======================  ======================
+===========  =======  ===========  ==========================  ============================
+notion       n1 x n2  ``shape``    ``first``, ``trace_first``  ``second``, ``trace_second``
+===========  =======  ===========  ==========================  ============================
+obs-obs      na x nb  (d,)         effects A_x, None           effects B_y, None
+obs-chan     1 x n    (d, k)       channel C, None             A_y^T, 1 (trace out k)
+chan-chan    1 x 1    (d, k1, k2)  channel C1, 2 (k2)          channel C2, 1 (k1)
+traditional  n1 x n2  (d, k)       branches of I1, None        branches of I2, None
+parallel     n1 x n2  (d, k1, k2)  I1 branches, 2 (k2)         I2 branches, 1 (k1)
+===========  =======  ===========  ==========================  ============================
 
 ``weak`` compares total channels exactly, ``check_traditional`` runs it first
 (unequal totals rule out a common-output joint), and ``redefined`` is the
@@ -32,7 +34,7 @@ operator; a witness failing either step raises :class:`SolverError`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -108,48 +110,19 @@ def _witness_tols(cfg: SolverConfig) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Grid:
-    """PSD blocks X_xy of factor shape ``shape``, stored row-major (block
-    x * n2 + y), with  sum_y R1(X_xy) = first[x]  and  sum_x R2(X_xy) =
-    second[y].  R1 (R2) traces out factor ``trace_first`` (``trace_second``),
-    or is the identity when that is None."""
-
-    shape: tuple[int, ...]
-    first: Sequence[np.ndarray]
-    second: Sequence[np.ndarray]
-    trace_first: int | None = None
-    trace_second: int | None = None
-
-
-def _equations(grid: Grid) -> Iterator[tuple[list[int], int | None, np.ndarray]]:
-    """Yield (block indices, traced factor or None, target) per grid equation."""
-    n1, n2 = len(grid.first), len(grid.second)
-    for x, target in enumerate(grid.first):
-        yield [x * n2 + y for y in range(n2)], grid.trace_first, target
-    for y, target in enumerate(grid.second):
-        yield [x * n2 + y for x in range(n1)], grid.trace_second, target
-
-
-def _grid_constraints(grid: Grid) -> AffineConstraintSet:
-    builder = ConstraintBuilder()
-    for _ in range(len(grid.first) * len(grid.second)):
-        builder.add_block(int(np.prod(grid.shape)), grid.shape)
-    for cells, factor, target in _equations(grid):
-        builder.add_equality([(k, factor) for k in cells], target)
-    return builder.build()
-
-
-def _grid_residuals(grid: Grid, blocks: Sequence[np.ndarray]) -> list[float]:
+def _grid_residuals(grid: ConstraintBuilder, blocks: Sequence[np.ndarray]) -> list[float]:
     """Frobenius misfit of every grid equation on ``blocks``, recomputed with
     :func:`linalg.partial_trace` rather than the solver's operator."""
+    n2 = len(grid.second)
+    rows = [blocks[x * n2 : (x + 1) * n2] for x in range(len(grid.first))]
 
-    def reduce(m: np.ndarray, factor: int | None) -> np.ndarray:
-        return m if factor is None else linalg.partial_trace(m, grid.shape, {factor})
+    def misfit(cells, factor: int | None, target: np.ndarray) -> float:
+        if factor is not None:
+            cells = [linalg.partial_trace(m, grid.shape, {factor}) for m in cells]
+        return float(np.linalg.norm(sum(cells) - target))
 
-    return [
-        float(np.linalg.norm(sum(reduce(blocks[k], factor) for k in cells) - target))
-        for cells, factor, target in _equations(grid)
+    return [misfit(row, grid.trace_first, t) for row, t in zip(rows, grid.first)] + [
+        misfit(col, grid.trace_second, t) for col, t in zip(zip(*rows), grid.second)
     ]
 
 
@@ -164,7 +137,7 @@ def _decide(notion: str, first, second, cfg: SolverConfig | None) -> CompatRepor
     cfg = _cfg(cfg)
     record = NOTIONS[notion]
     grid = record.grid(first, second)
-    verdict = dykstra_solve(_grid_constraints(grid), cfg)
+    verdict = dykstra_solve(grid.build(), cfg)
     report = CompatReport(notion, verdict)
     if verdict.status is Status.FEASIBLE:
         try:
@@ -184,19 +157,7 @@ def _decide(notion: str, first, second, cfg: SolverConfig | None) -> CompatRepor
 
 
 def _constraints(notion: str, first, second) -> AffineConstraintSet:
-    return _grid_constraints(NOTIONS[notion].grid(first, second))
-
-
-def _obs_obs_constraints(a: Observable, b: Observable) -> AffineConstraintSet:
-    return _constraints(NOTION_OBS_OBS, a, b)
-
-
-def _chan_chan_constraints(c1: QuantumChannel, c2: QuantumChannel) -> AffineConstraintSet:
-    return _constraints(NOTION_CHAN_CHAN, c1, c2)
-
-
-def _traditional_constraints(i1: Instrument, i2: Instrument) -> AffineConstraintSet:
-    return _constraints(NOTION_TRADITIONAL, i1, i2)
+    return NOTIONS[notion].grid(first, second).build()
 
 
 def _parallel_marginal_residuals(
@@ -495,10 +456,6 @@ def chan_chan_family(
     return family(NOTION_CHAN_CHAN, c1, c2)
 
 
-def parallel_family(i1: Instrument, i2: Instrument) -> Callable[[float], AffineConstraintSet]:
-    return family(NOTION_PARALLEL, i1, i2)
-
-
 # ---------------------------------------------------------------------------
 # The notion table
 # ---------------------------------------------------------------------------
@@ -508,16 +465,16 @@ def parallel_family(i1: Instrument, i2: Instrument) -> Callable[[float], AffineC
 class Notion:
     """How one notion is decided; see the table in the module docstring.
 
-    ``grid(first, second)`` states the grid problem and ``joint(blocks,
-    first, second, **tols)`` rebuilds the joint device from a solver
-    witness; both are None for the notions decided without a grid solve.
+    ``grid(first, second)`` states the grid as a ``ConstraintBuilder`` and
+    ``joint(blocks, first, second, **tols)`` rebuilds the joint device from
+    a solver witness; both are None for the notions decided without a grid solve.
     ``mix`` holds the noise mix ``(device, t) -> device`` of each device for
     the notions with a robustness family.
     """
 
     check: Callable[..., CompatReport]
     kinds: tuple[type, type]
-    grid: Callable[..., Grid] | None = None
+    grid: Callable[..., ConstraintBuilder] | None = None
     joint: Callable[..., Observable | QuantumChannel | Instrument] | None = None
     mix: tuple[Callable, Callable] | None = None
 
@@ -530,7 +487,7 @@ NOTIONS: dict[str, Notion] = {
     NOTION_OBS_OBS: Notion(
         check_obs_obs,
         (Observable, Observable),
-        grid=lambda a, b: Grid((a.in_dim,), a.effects, b.effects),
+        grid=lambda a, b: ConstraintBuilder((a.in_dim,), a.effects, b.effects),
         joint=lambda w, a, b, **tols: Observable(w, _pair_labels(a, b), **tols),
         mix=(mix_observable, mix_observable),
     ),
@@ -538,13 +495,17 @@ NOTIONS: dict[str, Notion] = {
     NOTION_OBS_CHAN: Notion(
         check_obs_chan,
         (Observable, QuantumChannel),
-        grid=lambda a, c: Grid((c.in_dim, c.out_dim), [c.choi], [e.T for e in a.effects], None, 1),
+        grid=lambda a, c: ConstraintBuilder(
+            (c.in_dim, c.out_dim), [c.choi], [e.T for e in a.effects], None, 1
+        ),
         joint=lambda w, a, c, **tols: Instrument(w, c.in_dim, c.out_dim, a.outcomes, **tols),
     ),
     NOTION_CHAN_CHAN: Notion(
         check_chan_chan,
         (QuantumChannel, QuantumChannel),
-        grid=lambda c1, c2: Grid((c1.in_dim, c1.out_dim, c2.out_dim), [c1.choi], [c2.choi], 2, 1),
+        grid=lambda c1, c2: ConstraintBuilder(
+            (c1.in_dim, c1.out_dim, c2.out_dim), [c1.choi], [c2.choi], 2, 1
+        ),
         joint=lambda w, c1, c2, **tols: QuantumChannel(
             w[0], c1.in_dim, c1.out_dim * c2.out_dim, **tols
         ),
@@ -554,7 +515,9 @@ NOTIONS: dict[str, Notion] = {
     NOTION_TRADITIONAL: Notion(
         check_traditional,
         (Instrument, Instrument),
-        grid=lambda i1, i2: Grid((i1.in_dim, i1.out_dim), i1.branches, i2.branches),
+        grid=lambda i1, i2: ConstraintBuilder(
+            (i1.in_dim, i1.out_dim), i1.branches, i2.branches
+        ),
         joint=lambda w, i1, i2, **tols: Instrument(
             w, i1.in_dim, i1.out_dim, _pair_labels(i1, i2), **tols
         ),
@@ -562,7 +525,7 @@ NOTIONS: dict[str, Notion] = {
     NOTION_PARALLEL: Notion(
         check_parallel,
         (Instrument, Instrument),
-        grid=lambda i1, i2: Grid(
+        grid=lambda i1, i2: ConstraintBuilder(
             (i1.in_dim, i1.out_dim, i2.out_dim), i1.branches, i2.branches, 2, 1
         ),
         joint=lambda w, i1, i2, **tols: Instrument(

@@ -18,7 +18,9 @@ Matrix entries are explicit [re, im] pairs, row-major, so fixtures stay
 bit-exact and language neutral.  Observables use ``representation:
 "effects"`` with matrices named by outcome; channels use ``"kraus"``
 (matrices ``K0``, ``K1``, ...) or ``"choi"`` (single matrix ``choi``);
-instruments use ``"choi"`` with one branch matrix per outcome.
+instruments use ``"choi"`` with one branch matrix per outcome.  Dimensions
+are positive integers, outcomes a list of strings, and an observable's
+``in_dim`` is the dimension of its effects.
 
 Loading validates the device and fails by naming the first violated
 invariant.
@@ -115,6 +117,21 @@ def _field(doc: dict, key: str, invariant: str) -> Any:
     return doc[key]
 
 
+def _dim(doc: dict, key: str) -> int:
+    value = _field(doc, key, f"file.{key}")
+    # bool is an int subclass; JSON true must not read as dimension 1.
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise InvariantViolation(f"file.{key}", f"must be a positive integer, got {value!r}")
+    return value
+
+
+def _outcomes(doc: dict) -> list[str]:
+    outcomes = _field(doc, "outcomes", "file.outcomes")
+    if not isinstance(outcomes, list) or not all(isinstance(o, str) for o in outcomes):
+        raise InvariantViolation("file.outcomes", f"must be a list of strings, got {outcomes!r}")
+    return outcomes
+
+
 def device_from_json(doc: dict) -> Device:
     if not isinstance(doc, dict):
         raise InvariantViolation("file.schema", "top level must be a JSON object")
@@ -124,7 +141,7 @@ def device_from_json(doc: dict) -> Device:
             "file.schema_version", f"unsupported version {version!r}"
         )
     kind = _field(doc, "kind", "file.kind")
-    in_dim = int(_field(doc, "in_dim", "file.in_dim"))
+    in_dim = _dim(doc, "in_dim")
     representation = _field(doc, "representation", "file.representation")
     matrices = _field(doc, "matrices", "file.matrices")
     if not isinstance(matrices, dict) or not matrices:
@@ -135,15 +152,23 @@ def device_from_json(doc: dict) -> Device:
             raise InvariantViolation(
                 "file.representation", f"observables use 'effects', got {representation!r}"
             )
-        outcomes = [str(o) for o in _field(doc, "outcomes", "file.outcomes")]
+        outcomes = _outcomes(doc)
         effects = [decode_matrix(matrices[label], label) for label in _checked_labels(outcomes, matrices)]
-        return Observable(effects, outcomes)
+        observable = Observable(effects, outcomes)
+        if observable.in_dim != in_dim:
+            d = observable.in_dim
+            raise InvariantViolation("file.in_dim", f"in_dim is {in_dim}, the effects are {d}x{d}")
+        return observable
 
     if kind == "channel":
-        out_dim = int(_field(doc, "out_dim", "file.out_dim"))
+        out_dim = _dim(doc, "out_dim")
         if representation == "kraus":
             names = sorted(matrices, key=_kraus_index)
             kraus = [decode_matrix(matrices[n], n, square=False) for n in names]
+            bad = [n for n, k in zip(names, kraus) if k.shape != (out_dim, in_dim)]
+            if bad:
+                shape = f"({out_dim}, {in_dim})"
+                raise InvariantViolation("channel.kraus_shape", f"{bad} are not of shape {shape}")
             return QuantumChannel(kraus_to_choi(kraus), in_dim, out_dim, kraus=kraus)
         if representation == "choi":
             choi = decode_matrix(_field(matrices, "choi", "file.matrices"), "choi")
@@ -157,8 +182,8 @@ def device_from_json(doc: dict) -> Device:
             raise InvariantViolation(
                 "file.representation", f"instruments use 'choi', got {representation!r}"
             )
-        out_dim = int(_field(doc, "out_dim", "file.out_dim"))
-        outcomes = [str(o) for o in _field(doc, "outcomes", "file.outcomes")]
+        out_dim = _dim(doc, "out_dim")
+        outcomes = _outcomes(doc)
         branches = [decode_matrix(matrices[label], label) for label in _checked_labels(outcomes, matrices)]
         return Instrument(branches, in_dim, out_dim, outcomes)
 

@@ -1,14 +1,33 @@
 """Convex feasibility: affine subspace meets a product of PSD cones.
 
-A problem instance is a stack ``X`` of n Hermitian blocks of one factor shape
-(a complex array of shape ``(n, D, D)``), each block constrained to the PSD
-cone, plus affine equalities ``A X = b``.  Each equality sums blocks, each
-reduced by the identity or by the partial trace over one factor, and sets
-the sum to a Hermitian target.  ``A`` and its adjoint ``A†`` (which embeds
-with an identity on the traced factor) act on the stack directly; the small
-Gram matrix ``G = A A†`` is factored once per constraint structure, and the
-affine projection is ``X - A†(G⁺(A X - b))``.  The Frobenius norm on the
-stack is the norm the projections are orthogonal in.
+A problem is a grid (:class:`ConstraintBuilder`): n1 x n2 Hermitian blocks
+X_xy of one factor shape, held as one complex stack of shape ``(n1·n2, D,
+D)`` (block x·n2 + y is X_xy), each block constrained to the PSD cone, plus
+the equalities
+
+    sum_y R1(X_xy) = T1_x  (x < n1)   and   sum_x R2(X_xy) = T2_y  (y < n2),
+
+where R1 (R2) is the identity or the partial trace over one factor of
+dimension k1 (k2; 1 when nothing is traced), leaving o1 x o1 (o2 x o2)
+matrices.  ``A`` maps the stack to these left-hand sides; its adjoint
+``A†`` embeds each target, tensored with the identity on the traced factor,
+in every block of its row or column.  The affine projection is
+``X - A†(G⁺(A X - t))`` for the stacked targets t, and the Frobenius norm
+on the stack is the norm the projections are orthogonal in.
+
+The Gram matrix ``G = A A†`` is known in closed form.  With a = n2·k1,
+b = n1·k2, J the n1 x n2 all-ones matrix and M = R1 R2† (o1² x o2²),
+
+    G = [[a·I, J⊗M], [Jᵀ⊗M†, b·I]].
+
+Eliminating the first side leaves b·I - (1/a)·JᵀJ⊗M†M, which is b·I
+except on second-side rows constant across y, where it is
+
+    K = b·I - (n1·n2/a)·M†M   (o2² x o2²).
+
+So K is the only matrix eigendecomposed, rank(A) = n1·o1² + (n2-1)·o2² +
+rank(K), and ``G⁺`` is assembled from K's spectrum once per grid layout
+(shape, n1, n2, traced factors); targets do not enter.
 
 Membership of the intersection is decided by alternating projections with
 Dykstra correction terms on the cone side; affine subspaces need no
@@ -91,6 +110,12 @@ class FeasibilityVerdict:
 _Split = tuple[int, int, int] | None
 
 
+def _split(shape: tuple[int, ...], traced: int | None) -> _Split:
+    if traced is None:
+        return None
+    return math.prod(shape[:traced]), shape[traced], math.prod(shape[traced + 1 :])
+
+
 def _reduce(m: np.ndarray, split: _Split) -> np.ndarray:
     """Partial trace of each matrix of a stack."""
     if split is None:
@@ -108,108 +133,104 @@ def _embed(m: np.ndarray, split: _Split) -> np.ndarray:
     return t.reshape(-1, p * k * q, p * k * q)
 
 
-def _out_dim(shape: tuple[int, ...], split: _Split) -> int:
-    return math.prod(shape) // (1 if split is None else split[1])
+def _traced_dim(split: _Split) -> int:
+    return 1 if split is None else split[1]
 
 
-@dataclass(frozen=True)
-class _Factor:
-    """Equations grouped by reduction, and the Gram pseudo-inverse.
-
-    Row e of group (split, incidence, rows) sums the blocks weighted by
-    ``incidence[e]`` and reduces the sum; the group's outputs fill the
-    ``rows`` slice of the concatenated left-hand sides.  ``order`` lists the
-    equation behind each group row, group by group.
-    """
-
-    groups: tuple[tuple[_Split, np.ndarray, slice], ...]
-    order: tuple[int, ...]
-    gram_pinv: np.ndarray
-    rank: int
-
-
-_RANK_CUTOFF = 1e-10  # relative to the largest Gram eigenvalue
+_RANK_CUTOFF = 1e-10  # relative to b, the largest eigenvalue K can have
 
 
 @lru_cache(maxsize=64)
-def _gram_factor(shape: tuple[int, ...], n_blocks: int, structure: tuple) -> _Factor:
-    """Factor ``G = A A†`` for equations ``structure``, a tuple of (traced
-    factor or None, blocks summed).  Targets do not enter, so every problem
-    of one structure shares the factor."""
-    groups, order, start = [], [], 0
-    for traced in dict.fromkeys(f for f, _ in structure):
-        eqs = [e for e, (f, _) in enumerate(structure) if f == traced]
-        incidence = np.zeros((len(eqs), n_blocks), dtype=complex)
-        for row, e in enumerate(eqs):
-            np.add.at(incidence[row], list(structure[e][1]), 1.0)
-        split = None if traced is None else (
-            math.prod(shape[:traced]), shape[traced], math.prod(shape[traced + 1 :])
-        )
-        size = len(eqs) * _out_dim(shape, split) ** 2
-        groups.append((split, incidence, slice(start, start + size)))
-        order.extend(eqs)
-        start += size
+def _gram_pinv(
+    shape: tuple[int, ...], n1: int, n2: int, trace_first: int | None, trace_second: int | None
+) -> tuple[np.ndarray, int]:
+    """``G⁺`` and ``rank(A)`` of a grid layout; see the module docstring.
 
-    def coupling(g, h):
-        # Rows of g against rows of h: the blocks both sum, times R_g R_h†.
-        (split_g, inc_g, _), (split_h, inc_h, _) = g, h
-        out = _out_dim(shape, split_h)
-        units = np.eye(out * out).reshape(-1, out, out)
-        maps = _reduce(_embed(units, split_h), split_g).reshape(out * out, -1)
-        return np.kron(inc_g @ inc_h.T, maps.T)
+    Write K⁺[c] for K's pseudo-inverse with c in place of 0 on K's null
+    space, 1 for the all-ones column and s = (a + b)².  Then
 
-    w, v = np.linalg.eigh(np.block([[coupling(g, h) for h in groups] for g in groups]))
-    keep = w > _RANK_CUTOFF * w[-1]
-    pinv = (v[:, keep] / w[keep]) @ v[:, keep].conj().T
+        G⁺ = [[I/a + (n2/a²)·11ᵀ⊗M K⁺[-(2a+b)/s] M†,   -(1/a)·J⊗M K⁺[-a/s]],
+              [its transpose,                    I/b + 11ᵀ⊗(K⁺[b/s] - I/b)/n2]].
+
+    With every c = 0 this is the block-elimination inverse, which is only a
+    generalized inverse when K is singular: each null vector q of K gives
+    the null vector (-(n2/a)·1⊗M q, 1⊗q) of G.  The values of c remove that
+    null space, which makes it the Moore-Penrose inverse, so the starting
+    point and the inconsistency of an empty system are least-squares ones.
+    """
+    s1, s2 = _split(shape, trace_first), _split(shape, trace_second)
+    dim = math.prod(shape)
+    o1, o2 = dim // _traced_dim(s1), dim // _traced_dim(s2)
+    a, b = n2 * _traced_dim(s1), n1 * _traced_dim(s2)
+    units = np.eye(o2 * o2).reshape(-1, o2, o2)
+    m = _reduce(_embed(units, s2), s1).reshape(o2 * o2, o1 * o1).T  # R1 R2†
+    w, v = np.linalg.eigh(b * np.eye(o2 * o2) - (n1 * n2 / a) * (m.T @ m))
+    keep = w > _RANK_CUTOFF * b
+
+    def k_pinv(on_null: float) -> np.ndarray:
+        return (v * np.divide(1.0, w, out=np.full_like(w, on_null), where=keep)) @ v.T
+
+    sq = (a + b) ** 2
+    first = np.eye(n1 * o1 * o1) / a + np.kron(
+        np.ones((n1, n1)), (n2 / a**2) * m @ k_pinv(-(2 * a + b) / sq) @ m.T
+    )
+    cross = np.kron(np.ones((n1, n2)), (-1 / a) * m @ k_pinv(-a / sq))
+    second = np.eye(n2 * o2 * o2) / b + np.kron(
+        np.ones((n2, n2)), (k_pinv(b / sq) - np.eye(o2 * o2) / b) / n2
+    )
+    pinv = np.block([[first, cross], [cross.T, second]]).astype(complex)
     pinv.setflags(write=False)
-    return _Factor(tuple(groups), tuple(order), pinv, int(np.count_nonzero(keep)))
+    return pinv, n1 * o1 * o1 + (n2 - 1) * o2 * o2 + int(np.count_nonzero(keep))
 
 
 class AffineConstraintSet:
-    """Equalities ``A X = b`` on a stack ``X`` of n Hermitian blocks.
+    """The equalities ``A X = t`` of a grid on its stack ``X``; see the
+    module docstring.
 
-    ``equations`` lists ``(terms, target)``, each term ``(block, traced
-    factor or None)``; the terms of one equation trace the same factor.
-    ``project`` is exact, ``X - A†(G⁺(A X - b))``, with the Gram
-    pseudo-inverse ``G⁺`` shared by all sets of one structure.  ``rank``
-    counts the independent real equations, ``total_size`` the real
-    coordinates n·D².
+    ``project`` is exact, ``X - A†(G⁺(A X - t))``, with ``G⁺`` from
+    :func:`_gram_pinv`, shared by all grids of one layout.  ``rank`` counts
+    the independent real equations, n1·o1² + (n2-1)·o2² + rank(K);
+    ``total_size`` the real coordinates n1·n2·D².
     """
 
-    def __init__(self, shape: tuple[int, ...], n_blocks: int, equations: Sequence[tuple]):
-        dim = math.prod(shape)
-        self.stack_shape = (n_blocks, dim, dim)
-        self.total_size = n_blocks * dim * dim
-        structure = tuple(
-            (terms[0][1] if terms else None, tuple(b for b, _ in terms)) for terms, _ in equations
+    def __init__(self, grid: ConstraintBuilder, rhs: np.ndarray):
+        n1, n2 = len(grid.first), len(grid.second)
+        dim = math.prod(grid.shape)
+        self._grid_shape = (n1, n2, dim, dim)
+        self._splits = _split(grid.shape, grid.trace_first), _split(grid.shape, grid.trace_second)
+        self._cut = n1 * (dim // _traced_dim(self._splits[0])) ** 2
+        self.stack_shape = (n1 * n2, dim, dim)
+        self.total_size = n1 * n2 * dim * dim
+        self._gram_pinv, self.rank = _gram_pinv(
+            grid.shape, n1, n2, grid.trace_first, grid.trace_second
         )
-        self._factor = _gram_factor(tuple(shape), n_blocks, structure)
-        self.rank = self._factor.rank
-        self._rhs = np.concatenate([np.ravel(equations[e][1]) for e in self._factor.order])
-        x0 = self._adjoint(self._factor.gram_pinv @ self._rhs)
-        self.inconsistency = float(np.linalg.norm(self._apply(x0) - self._rhs))
-        self._consistency_tol = 1e-10 * (1.0 + float(np.linalg.norm(self._rhs)))
+        self._rhs = rhs
+        x0 = self._adjoint(self._gram_pinv @ rhs)
+        self.inconsistency = float(np.linalg.norm(self._apply(x0) - rhs))
+        self._consistency_tol = 1e-10 * (1.0 + float(np.linalg.norm(rhs)))
 
     @property
     def consistent(self) -> bool:
         return self.inconsistency <= self._consistency_tol
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
-        """A X: the left-hand sides, row by row of ``order``, flattened."""
-        flat = x.reshape(len(x), -1)
+        """A X: the reduced row sums, then the reduced column sums, flattened."""
+        blocks = x.reshape(self._grid_shape)
+        s1, s2 = self._splits
         return np.concatenate(
-            [_reduce(inc @ flat, split).ravel() for split, inc, _ in self._factor.groups]
+            [_reduce(blocks.sum(axis=1), s1).ravel(), _reduce(blocks.sum(axis=0), s2).ravel()]
         )
 
     def _adjoint(self, r: np.ndarray) -> np.ndarray:
         """A† r: a stack of blocks."""
-        out = 0
-        for split, inc, rows in self._factor.groups:
-            out = out + inc.T @ _embed(r[rows], split).reshape(len(inc), -1)
-        return out.reshape(self.stack_shape)
+        n1, n2, dim, _ = self._grid_shape
+        s1, s2 = self._splits
+        rows = _embed(r[: self._cut], s1).reshape(n1, 1, dim, dim)
+        cols = _embed(r[self._cut :], s2).reshape(1, n2, dim, dim)
+        return (rows + cols).reshape(self.stack_shape)
 
     def _correction(self, x: np.ndarray) -> np.ndarray:
-        return self._adjoint(self._factor.gram_pinv @ (self._apply(x) - self._rhs))
+        return self._adjoint(self._gram_pinv @ (self._apply(x) - self._rhs))
 
     def residual(self, x: np.ndarray) -> float:
         """Distance from ``x`` to the affine set."""
@@ -223,47 +244,36 @@ class AffineConstraintSet:
         return x - self._correction(x)
 
 
+@dataclass(frozen=True)
 class ConstraintBuilder:
-    """Assemble an :class:`AffineConstraintSet` block by block.
+    """A grid problem: PSD blocks X_xy (x < n1 = len(first), y < n2 =
+    len(second)) of factor shape ``shape`` with
 
-    All blocks share one factor shape.  An equality reads  sum_k R_k(X_{b_k})
-    = target,  each term naming a block ``b_k`` and the factor that ``R_k``
-    traces out; None, like a factor of dimension 1, keeps the block whole.
+        sum_y R1(X_xy) = first[x]   and   sum_x R2(X_xy) = second[y],
+
+    where R1 (R2) traces out factor ``trace_first`` (``trace_second``), or
+    is the identity when that is None.  ``build`` checks the targets and
+    returns the :class:`AffineConstraintSet`.
     """
 
-    def __init__(self) -> None:
-        self._shape: tuple[int, ...] | None = None
-        self._n_blocks = 0
-        self._equations: list[tuple[list[tuple[int, int | None]], np.ndarray]] = []
-
-    def add_block(self, dim: int, factor_shape: Sequence[int] | None = None) -> int:
-        shape = tuple(int(s) for s in factor_shape) if factor_shape is not None else (dim,)
-        if math.prod(shape) != dim:
-            raise ValueError(f"factor shape {shape} does not multiply to dim {dim}")
-        if self._shape not in (None, shape):
-            raise ValueError(f"block shape {shape} differs from the earlier {self._shape}")
-        self._shape = shape
-        self._n_blocks += 1
-        return self._n_blocks - 1
-
-    def add_equality(self, terms: Sequence[tuple[int, int | None]], target: np.ndarray) -> None:
-        shape = self._shape or ()
-        if any(not 0 <= b < self._n_blocks for b, _ in terms):
-            raise ValueError(f"equation names a block outside 0..{self._n_blocks - 1}")
-        if any(f is not None and not 0 <= f < len(shape) for _, f in terms):
-            raise ValueError(f"equation traces a factor outside the block shape {shape}")
-        traced = {None if f is None or shape[f] == 1 else f for _, f in terms}
-        if len(traced) > 1:
-            raise ValueError("the terms of one equation must trace the same factor")
-        factor = traced.pop() if traced else None
-        out = math.prod(shape) // (1 if factor is None else shape[factor])
-        target = as_hermitian(target, tol=1e-9)
-        if target.shape != (out, out):
-            raise ValueError(f"target of shape {target.shape} does not match terms of dim {out}")
-        self._equations.append(([(b, factor) for b, _ in terms], target))
+    shape: tuple[int, ...]
+    first: Sequence[np.ndarray]
+    second: Sequence[np.ndarray]
+    trace_first: int | None = None
+    trace_second: int | None = None
 
     def build(self) -> AffineConstraintSet:
-        return AffineConstraintSet(self._shape or (), self._n_blocks, self._equations)
+        rhs = []
+        for targets, traced in ((self.first, self.trace_first), (self.second, self.trace_second)):
+            if traced is not None and not 0 <= traced < len(self.shape):
+                raise ValueError(f"traced factor {traced} is outside the block shape {self.shape}")
+            out = math.prod(self.shape) // (1 if traced is None else self.shape[traced])
+            for target in targets:
+                target = as_hermitian(target, tol=1e-9)
+                if target.shape != (out, out):
+                    raise ValueError(f"target of shape {target.shape} does not match dim {out}")
+                rhs.append(target.ravel())
+        return AffineConstraintSet(self, np.concatenate(rhs))
 
 
 def _project_psd(z: np.ndarray) -> np.ndarray:

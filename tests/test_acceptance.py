@@ -28,9 +28,7 @@ from qcompat.compatibility import (
     mix_channel,
     obs_obs_family,
     observable_marginal,
-    _chan_chan_constraints,
-    _obs_obs_constraints,
-    _traditional_constraints,
+    _constraints,
 )
 from qcompat.devices import (
     Instrument,
@@ -223,8 +221,8 @@ def test_criterion_8_invariant_suites():
 
         # determinism: identical problems give identical verdicts/iterations
         problems = [
-            _obs_obs_constraints(noisy_pauli(PAULI_X, 0.72), noisy_pauli(PAULI_Z, 0.72)),
-            _chan_chan_constraints(QuantumChannel.identity(2), QuantumChannel.identity(2)),
+            _constraints("obs-obs", noisy_pauli(PAULI_X, 0.72), noisy_pauli(PAULI_Z, 0.72)),
+            _constraints("chan-chan", QuantumChannel.identity(2), QuantumChannel.identity(2)),
         ]
         for cs in problems:
             v1 = dykstra_solve(cs, SolverConfig())
@@ -238,9 +236,9 @@ def test_criterion_8_invariant_suites():
         # decided verdicts stay put when the iteration budget doubles
         sc = gen_traditional_only_pair(np.full((2, 2), 0.25))
         regression = problems + [
-            _obs_obs_constraints(noisy_pauli(PAULI_X, lam), noisy_pauli(PAULI_Z, lam))
+            _constraints("obs-obs", noisy_pauli(PAULI_X, lam), noisy_pauli(PAULI_Z, lam))
             for lam in (0.5, 0.9)
-        ] + [_traditional_constraints(sc.first, sc.second)]
+        ] + [_constraints("traditional", sc.first, sc.second)]
         for cs in regression:
             v1 = dykstra_solve(cs, SolverConfig())
             v2 = dykstra_solve(cs, SolverConfig(max_iter=40000))

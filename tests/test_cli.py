@@ -136,6 +136,66 @@ class TestNonFiniteInput:
         assert report["violated_invariant"] == "file.matrix_finite"
 
 
+class TestMalformedDimensions:
+    """Dimension and outcome fields that are not what they claim are input errors."""
+
+    @pytest.fixture(
+        params=[
+            ("in_dim", None, "file.in_dim"),
+            ("in_dim", 2.7, "file.in_dim"),
+            ("in_dim", True, "file.in_dim"),
+            ("in_dim", 0, "file.in_dim"),
+            ("in_dim", 3, "file.in_dim"),  # the effects are 2x2
+            ("outcomes", 5, "file.outcomes"),
+            ("outcomes", [0, 1], "file.outcomes"),
+        ],
+        ids=["in-null", "in-float", "in-bool", "in-zero", "in-wrong", "outcomes-int", "outcomes-ints"],
+    )
+    def bad_x(self, request, tmp_path, fixtures_dir):
+        key, value, invariant = request.param
+        doc = json.loads((fixtures_dir / "sharp_x.json").read_text())
+        doc[key] = value
+        path = tmp_path / "bad_x.json"
+        path.write_text(json.dumps(doc))
+        return path, invariant
+
+    def test_validate(self, bad_x, capsys):
+        path, invariant = bad_x
+        code, report = run_cli(["validate", str(path)], capsys)
+        assert code == 3
+        assert report["files"][0]["violated_invariant"] == invariant
+
+    def test_check(self, bad_x, fixtures_dir, capsys):
+        path, invariant = bad_x
+        code, report = run_cli(["check", "obs-obs", str(path), str(fixtures_dir / "sharp_z.json")], capsys)
+        assert code == 3
+        assert report["status"] == "error"
+        assert report["violated_invariant"] == invariant
+
+    @pytest.mark.parametrize("value", [None, 2.5, False])
+    def test_out_dim(self, value, tmp_path, fixtures_dir, capsys):
+        doc = json.loads((fixtures_dir / "identity_channel.json").read_text())
+        doc["out_dim"] = value
+        path = tmp_path / "bad_channel.json"
+        path.write_text(json.dumps(doc))
+        code, report = run_cli(["validate", str(path)], capsys)
+        assert code == 3
+        assert report["files"][0]["violated_invariant"] == "file.out_dim"
+
+
+def test_validate_lists_good_and_bad_kraus_files(tmp_path, fixtures_dir, capsys):
+    doc = json.loads((fixtures_dir / "identity_channel.json").read_text())
+    doc["matrices"]["K1"] = [[[0.0, 0.0]] * 3] * 2  # a 2x3 Kraus operator beside a 2x2 one
+    bad = tmp_path / "bad_kraus.json"
+    bad.write_text(json.dumps(doc))
+    good = str(fixtures_dir / "sharp_x.json")
+    code, report = run_cli(["validate", good, str(bad)], capsys)
+    assert code == 3
+    assert [entry["path"] for entry in report["files"]] == [good, str(bad)]
+    assert report["files"][0]["ok"]
+    assert report["files"][1]["violated_invariant"] == "channel.kraus_shape"
+
+
 class TestSolverError:
     """A FEASIBLE answer whose witness fails its checks is a solver error."""
 

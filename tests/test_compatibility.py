@@ -12,6 +12,7 @@ from qcompat.compatibility import (
     check_traditional,
     check_weak,
     chan_chan_family,
+    family,
     gen_parallel_only_pair,
     gen_shared_observable_pair,
     gen_traditional_only_pair,
@@ -22,7 +23,6 @@ from qcompat.compatibility import (
     mix_observable,
     observable_marginal,
     parallel_composition,
-    parallel_family,
     _parallel_marginal_residuals,
 )
 from qcompat.devices import (
@@ -476,9 +476,9 @@ class TestMixers:
 
         p = load_device(fixtures_dir / "prop2_p.json")
         q = load_device(fixtures_dir / "prop2_q.json")
-        family = parallel_family(p, q)
-        assert dykstra_solve(family(1.0)).status is Status.FEASIBLE
-        noiseless = dykstra_solve(family(0.0))
+        problems = family("parallel", p, q)
+        assert dykstra_solve(problems(1.0)).status is Status.FEASIBLE
+        noiseless = dykstra_solve(problems(0.0))
         assert noiseless.status is Status.INFEASIBLE
         assert noiseless.status is check_parallel(p, q).status
 

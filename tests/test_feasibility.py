@@ -7,10 +7,8 @@ import pytest
 from qcompat import compatibility, linalg
 from qcompat.compatibility import (
     NOTIONS,
-    _chan_chan_constraints,
     _constraints,
     _grid_residuals,
-    _obs_obs_constraints,
     obs_obs_family,
 )
 from qcompat.deviceio import load_device
@@ -57,24 +55,18 @@ class TestSolverConfig:
 
 
 def _inconsistent_traces() -> ConstraintBuilder:
-    # tr(X) = 1 and tr(X) = 2 on one qubit block: tracing out its only factor.
-    builder = ConstraintBuilder()
-    block = builder.add_block(2)
-    builder.add_equality([(block, 0)], np.eye(1))
-    builder.add_equality([(block, 0)], 2.0 * np.eye(1))
-    return builder
+    # tr(X) = 1 and tr(X) = 2 on one qubit block: a 1x1 grid of shape (1, 2)
+    # whose two sides both trace out factor 1.
+    return ConstraintBuilder((1, 2), [np.eye(1)], [2.0 * np.eye(1)], 1, 1)
 
 
 class TestProjectAffine:
     def test_zero_sum_constraint(self):
-        builder = ConstraintBuilder()
-        block = builder.add_block(2)
-        builder.add_equality([(block, 0)], np.zeros((1, 1)))
-        cs = builder.build()
+        cs = ConstraintBuilder((1, 2), [np.zeros((1, 1))], [np.zeros((1, 1))], 1, 1).build()
         assert np.allclose(cs.project(np.zeros((1, 2, 2))), 0.0)
 
     def test_joint_povm_fixed_point(self, sharp_z):
-        cs = _obs_obs_constraints(sharp_z, sharp_z)
+        cs = _constraints("obs-obs", sharp_z, sharp_z)
         p0 = np.diag([1.0, 0.0])
         p1 = np.diag([0.0, 1.0])
         point = np.array([p0, np.zeros((2, 2)), np.zeros((2, 2)), p1], dtype=complex)
@@ -82,7 +74,7 @@ class TestProjectAffine:
 
     def test_projection_lands_on_set(self, rng):
         a, b = sharp(PAULI_X), sharp(PAULI_Z)
-        cs = _obs_obs_constraints(a, b)
+        cs = _constraints("obs-obs", a, b)
         point = np.array([random_hermitian(2, rng) for _ in range(4)])
         projected = cs.project(point)
         assert cs.residual(projected) <= 1e-10
@@ -92,6 +84,8 @@ class TestProjectAffine:
     def test_inconsistent_traces(self):
         cs = _inconsistent_traces().build()
         assert not cs.consistent
+        # The least-squares misfit: both traces at 1.5.
+        assert cs.inconsistency == pytest.approx(0.5**0.5)
         with pytest.raises(InconsistentConstraints):
             cs.project(np.zeros((1, 2, 2)))
 
@@ -102,18 +96,23 @@ class TestProjectAffine:
 
 
 def test_builder_rejects_malformed_equations():
-    builder = ConstraintBuilder()
-    block = builder.add_block(4, (2, 2))
-    with pytest.raises(ValueError, match="same factor"):
-        builder.add_equality([(block, 0), (block, 1)], np.eye(2))
-    with pytest.raises(ValueError, match="factor outside"):
-        builder.add_equality([(block, 2)], np.eye(2))
-    with pytest.raises(ValueError, match="block outside"):
-        builder.add_equality([(1, None)], np.eye(4))
+    # Each case breaks one side of an otherwise valid grid of shape (2, 2).
+    eye2 = [np.eye(2)]
+    with pytest.raises(ValueError, match="outside the block shape"):
+        ConstraintBuilder((2, 2), eye2, eye2, 2, 0).build()
     with pytest.raises(ValueError, match="does not match"):
-        builder.add_equality([(block, 0)], np.eye(4))
-    with pytest.raises(ValueError, match="differs"):
-        builder.add_block(4, (4,))
+        ConstraintBuilder((2, 2), eye2, [np.eye(4)], 1, 0).build()
+    with pytest.raises(ValueError, match="Hermiticity"):
+        ConstraintBuilder((2, 2), eye2, [np.triu(np.ones((2, 2)))], 1, 0).build()
+    ConstraintBuilder((2, 2), eye2, eye2, 1, 0).build()
+
+
+def test_d4_parallel_grid_projects_onto_the_set(rng):
+    i1, i2 = (random_instrument(4, 4, 4, 1, rng) for _ in range(2))
+    grid = NOTIONS["parallel"].grid(i1, i2)
+    cs = grid.build()
+    point = np.array([random_hermitian(64, rng) for _ in range(16)])
+    assert max(_grid_residuals(grid, cs.project(point))) <= 1e-10
 
 
 def _dense_reference(grid) -> tuple[np.ndarray, np.ndarray]:
@@ -191,7 +190,7 @@ def test_fixture_sweep_counts(notion, first, second, sweeps, fixtures_dir):
 
 class TestDykstra:
     def test_commuting_sharp_observables(self, sharp_z):
-        verdict = dykstra_solve(_obs_obs_constraints(sharp_z, sharp_z))
+        verdict = dykstra_solve(_constraints("obs-obs", sharp_z, sharp_z))
         assert verdict.status is Status.FEASIBLE
         blocks = verdict.witness
         p0 = np.diag([1.0, 0.0])
@@ -203,19 +202,19 @@ class TestDykstra:
         # Oracle: for unbiased orthogonal qubit observables the joint exists
         # iff lam_a^2 + lam_b^2 <= 1; here 1 + 1 = 2 > 1.
         assert not busch_compatible(1.0, 1.0)
-        verdict = dykstra_solve(_obs_obs_constraints(sharp_x, sharp_z))
+        verdict = dykstra_solve(_constraints("obs-obs", sharp_x, sharp_z))
         assert verdict.status is Status.INFEASIBLE
         assert verdict.gap_estimate >= SolverConfig().tol_gap
 
     def test_cloning_identity_infeasible(self):
         ident = QuantumChannel.identity(2)
-        verdict = dykstra_solve(_chan_chan_constraints(ident, ident))
+        verdict = dykstra_solve(_constraints("chan-chan", ident, ident))
         assert verdict.status is Status.INFEASIBLE
 
     def test_feasible_witness_satisfies_both_residuals(self):
         cfg = SolverConfig()
         verdict = dykstra_solve(
-            _obs_obs_constraints(noisy_pauli(PAULI_X, 0.5), noisy_pauli(PAULI_Z, 0.5)), cfg
+            _constraints("obs-obs", noisy_pauli(PAULI_X, 0.5), noisy_pauli(PAULI_Z, 0.5)), cfg
         )
         assert verdict.status is Status.FEASIBLE
         assert verdict.residual_affine <= cfg.tol_feas
@@ -223,7 +222,7 @@ class TestDykstra:
         assert verdict.witness is not None
 
     def test_determinism(self, sharp_x, sharp_z):
-        cs = _obs_obs_constraints(sharp_x, sharp_z)
+        cs = _constraints("obs-obs", sharp_x, sharp_z)
         v1 = dykstra_solve(cs, SolverConfig())
         v2 = dykstra_solve(cs, SolverConfig())
         assert v1.status == v2.status
@@ -232,7 +231,7 @@ class TestDykstra:
 
     @pytest.mark.parametrize("lam", [0.5, 0.72, 1.0])
     def test_decided_statuses_stable_under_doubled_budget(self, lam):
-        cs = _obs_obs_constraints(noisy_pauli(PAULI_X, lam), noisy_pauli(PAULI_Z, lam))
+        cs = _constraints("obs-obs", noisy_pauli(PAULI_X, lam), noisy_pauli(PAULI_Z, lam))
         v1 = dykstra_solve(cs, SolverConfig())
         v2 = dykstra_solve(cs, SolverConfig(max_iter=40000))
         assert v1.status is not Status.UNDECIDED
@@ -241,7 +240,7 @@ class TestDykstra:
 
     def test_trace_log_format_and_monotone_distance(self, sharp_x, sharp_z, tmp_path):
         buf = io.StringIO()
-        dykstra_solve(_obs_obs_constraints(sharp_x, sharp_z), SolverConfig(), trace=buf)
+        dykstra_solve(_constraints("obs-obs", sharp_x, sharp_z), SolverConfig(), trace=buf)
         rows = [line.split(",") for line in buf.getvalue().splitlines() if not line.startswith("#")]
         assert all(len(r) == 4 for r in rows)
         iterations = [int(r[0]) for r in rows]
@@ -251,14 +250,14 @@ class TestDykstra:
 
         path = tmp_path / "trace.log"
         dykstra_solve(
-            _obs_obs_constraints(sharp_x, sharp_z), SolverConfig(trace_path=str(path))
+            _constraints("obs-obs", sharp_x, sharp_z), SolverConfig(trace_path=str(path))
         )
         assert path.read_text().splitlines()[0].startswith("#")
 
 
 def test_trace_log_columns_are_distinct(sharp_x, sharp_z):
     buf = io.StringIO()
-    dykstra_solve(_obs_obs_constraints(sharp_x, sharp_z), SolverConfig(), trace=buf)
+    dykstra_solve(_constraints("obs-obs", sharp_x, sharp_z), SolverConfig(), trace=buf)
     rows = [line.split(",") for line in buf.getvalue().splitlines() if not line.startswith("#")]
     gap = np.array([float(r[1]) for r in rows])
     correction = np.array([float(r[3]) for r in rows])
@@ -275,6 +274,6 @@ class TestRobustness:
         assert robustness_bisect(obs_obs_family(a, b)) == 0.0
 
     def test_malformed_family_raises(self, sharp_x, sharp_z):
-        cs = _obs_obs_constraints(sharp_x, sharp_z)
+        cs = _constraints("obs-obs", sharp_x, sharp_z)
         with pytest.raises(NotFeasibleAtOne):
             robustness_bisect(lambda t: cs)

@@ -19,13 +19,29 @@ def test_make_fixtures_reproduces_shipped_files(fixtures_dir, tmp_path, capsys):
         assert (tmp_path / name).read_bytes() == (fixtures_dir / name).read_bytes(), name
 
 
+def _load_perfbench(name, monkeypatch):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_workloads_build_and_warm_up(tmp_path, monkeypatch):
+    # The benchmark only records warm-up errors, so a name it calls that
+    # has gone (say compatibility.obs_obs_family) must fail here instead.
+    workloads = _load_perfbench("workloads", monkeypatch)
+    for name, make in workloads.WORKLOADS.items():
+        workdir = tmp_path / name
+        workdir.mkdir()
+        for step in make(1, workdir).warmup:
+            step()
+
+
 def test_benchmark_trace_contract(sharp_x, sharp_z, monkeypatch):
     # perfbench/tracing.py patches solver names and requires each constraint
     # factorization to run inside a build, each projection inside a solve.
-    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, "tracing", tracing)  # dataclasses look it up
-    spec.loader.exec_module(tracing)
+    tracing = _load_perfbench("tracing", monkeypatch)
     tracer = tracing.Tracer()
     tracer.install()
     try:
