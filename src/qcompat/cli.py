@@ -13,7 +13,15 @@ are compatible (or the demo reproduced all expected verdicts), 1 they are
 incompatible (or a demo verdict mismatched), 2 the solver could not decide,
 3 the input was malformed (the report names the violated invariant), 4 the
 solver's answer failed its own checks (status ``solver-error``: a feasible
-witness that is not a valid device or misses the marginals).
+witness that is not a valid device or misses the marginals, or an
+infeasibility certificate that does not hold).
+
+A check report's ``certificate`` is ``{"value", "min_eig"}`` for an
+INFEASIBLE verdict the solver certified: Re⟨λ, t⟩ and the smallest
+eigenvalue of the incompatibility witness A†λ, re-checked against the
+devices before the report is written.  It is null otherwise, including an
+INFEASIBLE found by the exact total-channel precheck or by the solver's
+stall rule.
 
 A batch manifest is a JSON object ``{"checks": [...]}`` where each entry has
 ``notion``, ``devices`` (list of file paths), and optionally ``witness_out``
@@ -85,6 +93,7 @@ def _finite(x: float | None) -> float | None:
 
 
 def _verdict_json(verdict) -> dict:
+    certificate = verdict.certificate
     return {
         "status": verdict.status.value,
         "residuals": {
@@ -93,6 +102,10 @@ def _verdict_json(verdict) -> dict:
             "gap": _finite(verdict.gap_estimate),
         },
         "iterations": verdict.iterations,
+        "certificate": None if certificate is None else {
+            "value": certificate.value,
+            "min_eig": certificate.min_eig,
+        },
     }
 
 

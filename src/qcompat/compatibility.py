@@ -26,7 +26,11 @@ disjunction traditional OR parallel.  :data:`NOTIONS` holds each notion's
 device kinds, grid, joint-device constructor and noise mixes.  A feasible
 witness is rebuilt into the joint device and re-validated with
 :func:`linalg.partial_trace`, independently of the solver's constraint
-operator; a witness failing either step raises :class:`SolverError`.
+operator; a witness failing either step raises :class:`SolverError`.  An
+INFEASIBLE verdict's Farkas certificate is re-checked the same way, its
+blocks W_xy rebuilt with :func:`linalg.tensor` and
+:func:`linalg.reorder_factors`; one that does not hold raises
+:class:`SolverError` too.
 ``parallel_composition``, ``induced_joint_observable`` and
 ``marginal_instrument`` build witnesses in closed form instead.
 """
@@ -56,6 +60,7 @@ from .devices import (
 )
 from .feasibility import (
     AffineConstraintSet,
+    Certificate,
     ConstraintBuilder,
     FeasibilityVerdict,
     SolverConfig,
@@ -70,8 +75,9 @@ class BadDistribution(ValueError):
 
 class SolverError(RuntimeError):
     """The solver's answer cannot be trusted: a FEASIBLE witness that is not
-    a valid device or misses the marginals, or a solve that should succeed
-    by construction and did not."""
+    a valid device or misses the marginals, an INFEASIBLE certificate that
+    does not hold, or a solve that should succeed by construction and did
+    not."""
 
 
 NOTION_OBS_OBS = "obs-obs"
@@ -126,13 +132,52 @@ def _grid_residuals(grid: ConstraintBuilder, blocks: Sequence[np.ndarray]) -> li
     ]
 
 
+def _lift(m: np.ndarray, shape: tuple[int, ...], factor: int | None) -> np.ndarray:
+    """Adjoint of the partial trace over ``factor``: ``m`` tensored with the
+    identity on that factor, moved back into place."""
+    if factor is None:
+        return m
+    n = len(shape)
+    rest = [d for k, d in enumerate(shape) if k != factor] + [shape[factor]]
+    perm = [k if k < factor else n - 1 if k == factor else k - 1 for k in range(n)]
+    return linalg.reorder_factors(linalg.tensor(m, np.eye(shape[factor])), rest, perm)
+
+
+def _check_certificate(notion: str, grid: ConstraintBuilder, certificate: Certificate) -> float:
+    """Re-check a Farkas certificate with :mod:`linalg` rather than the
+    solver's operator; return its bound Re⟨λ, t⟩ + τ·max(0, -λ_min(W)),
+    which must lie below the rounding margin, or raise :class:`SolverError`.
+
+    Every PSD solution X has total trace τ = sum_x tr first[x], so
+    ⟨λ, t⟩ = ⟨W, X⟩ >= min(0, λ_min(W))·τ and a negative bound rules it out.
+    """
+    lam, n1 = certificate.multipliers, len(grid.first)
+    targets = [*grid.first, *grid.second]
+    if len(lam) != len(targets):
+        raise SolverError(f"{notion} certificate has {len(lam)} multipliers, not {len(targets)}")
+    rows = [_lift(m, grid.shape, grid.trace_first) for m in lam[:n1]]
+    cols = [_lift(m, grid.shape, grid.trace_second) for m in lam[n1:]]
+    value = sum(float(np.vdot(m, t).real) for m, t in zip(lam, targets))
+    min_eig = min(linalg.min_eigval(r + c) for r in rows for c in cols)
+    total_trace = sum(float(np.trace(t).real) for t in grid.first)
+    bound = value + total_trace * max(0.0, -min_eig)
+    margin = 1e-9 * (1.0 + float(np.sqrt(sum(np.linalg.norm(t) ** 2 for t in targets))))
+    if not bound < -margin:
+        raise SolverError(
+            f"{notion} certificate failed re-validation against the original "
+            f"devices (bound {bound:.3e} >= {-margin:.3e})"
+        )
+    return bound
+
+
 def _require_same_input(first, second) -> None:
     if first.in_dim != second.in_dim:
         raise DimMismatch(f"devices have input dims {first.in_dim} and {second.in_dim}")
 
 
 def _decide(notion: str, first, second, cfg: SolverConfig | None) -> CompatReport:
-    """Solve the notion's grid; rebuild and re-validate a feasible witness."""
+    """Solve the notion's grid; rebuild and re-validate a feasible witness,
+    re-check an infeasible verdict's certificate."""
     _require_same_input(first, second)
     cfg = _cfg(cfg)
     record = NOTIONS[notion]
@@ -153,6 +198,9 @@ def _decide(notion: str, first, second, cfg: SolverConfig | None) -> CompatRepor
             )
         report.notes.append(f"witness marginals residual {worst:.2e}")
         report.joint_device = joint
+    elif verdict.certificate is not None:
+        bound = _check_certificate(notion, grid, verdict.certificate)
+        report.notes.append(f"certificate bound {bound:.2e}")
     return report
 
 

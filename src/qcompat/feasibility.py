@@ -35,11 +35,23 @@ correction.  Each sweep projects the whole stack onto the cone with one
 batched eigendecomposition and tests the affine-side iterate with one
 batched eigenvalue solve.
 
-Infeasibility is read off numerically: the Frobenius distance between the
-cone-side and affine-side iterates is non-increasing and converges to the
-distance between the two sets, so a distance that stalls at a strictly
-positive value certifies an empty intersection at desk scale.  Borderline
-instances time out as ``Status.UNDECIDED`` instead of guessing.
+Infeasibility is certified, not guessed.  For multipliers λ (one Hermitian
+matrix per equation) and W = A†λ, every PSD X with A X = t satisfies
+
+    ⟨λ, t⟩ = ⟨W, X⟩ >= min(0, λ_min(W))·τ,
+
+where τ = sum_x tr first[x] is the total trace of every solution (each R
+preserves the trace).  So ``Re⟨λ, t⟩ + τ·max(0, -λ_min(W)) < 0`` is a
+Farkas certificate that the intersection is empty (:class:`Certificate`);
+W is an incompatibility witness.  The solver tries λ = G⁺(A Y - t) on the
+cone-side iterate Y, which makes W = Y - P(Y) the displacement that
+Dykstra's iterates converge to when the sets are disjoint (Bauschke &
+Borwein 1994): W tends to PSD and ⟨λ, t⟩ to minus the squared distance.
+The try runs at sweep 1 and every 25 sweeps after, and accepts only below
+a rounding margin, so no feasible problem can pass it.  A gap that stalls
+at a positive value with no certificate found still ends INFEASIBLE, with
+``certificate=None``.  Borderline instances time out as
+``Status.UNDECIDED`` instead of guessing.
 """
 
 from __future__ import annotations
@@ -95,6 +107,20 @@ class SolverConfig:
             raise ValueError("max_iter must be at least stall_window")
 
 
+@dataclass(frozen=True)
+class Certificate:
+    """A Farkas certificate that a grid has no PSD solution.
+
+    ``multipliers`` holds λ per equation, the n1 first-side matrices then
+    the n2 second-side ones; ``value`` is Re⟨λ, t⟩ against the targets and
+    ``min_eig`` the smallest eigenvalue of A†λ over the blocks.
+    """
+
+    multipliers: list[np.ndarray]
+    value: float
+    min_eig: float
+
+
 @dataclass
 class FeasibilityVerdict:
     status: Status
@@ -103,6 +129,7 @@ class FeasibilityVerdict:
     residual_psd: float
     gap_estimate: float
     iterations: int
+    certificate: Certificate | None = None
 
 
 # A reduction keeps a block whole (None) or, for a factor shape collapsed to
@@ -178,7 +205,7 @@ def _gram_pinv(
     second = np.eye(n2 * o2 * o2) / b + np.kron(
         np.ones((n2, n2)), (k_pinv(b / sq) - np.eye(o2 * o2) / b) / n2
     )
-    pinv = np.block([[first, cross], [cross.T, second]]).astype(complex)
+    pinv = np.block([[first, cross], [cross.T, second]])
     pinv.setflags(write=False)
     return pinv, n1 * o1 * o1 + (n2 - 1) * o2 * o2 + int(np.count_nonzero(keep))
 
@@ -190,7 +217,8 @@ class AffineConstraintSet:
     ``project`` is exact, ``X - A†(G⁺(A X - t))``, with ``G⁺`` from
     :func:`_gram_pinv`, shared by all grids of one layout.  ``rank`` counts
     the independent real equations, n1·o1² + (n2-1)·o2² + rank(K);
-    ``total_size`` the real coordinates n1·n2·D².
+    ``total_size`` the real coordinates n1·n2·D².  ``certificate`` tries a
+    Farkas certificate on a cone-side iterate.
     """
 
     def __init__(self, grid: ConstraintBuilder, rhs: np.ndarray):
@@ -198,16 +226,20 @@ class AffineConstraintSet:
         dim = math.prod(grid.shape)
         self._grid_shape = (n1, n2, dim, dim)
         self._splits = _split(grid.shape, grid.trace_first), _split(grid.shape, grid.trace_second)
-        self._cut = n1 * (dim // _traced_dim(self._splits[0])) ** 2
+        self._out_dims = tuple(dim // _traced_dim(split) for split in self._splits)
+        self._cut = n1 * self._out_dims[0] ** 2
         self.stack_shape = (n1 * n2, dim, dim)
         self.total_size = n1 * n2 * dim * dim
         self._gram_pinv, self.rank = _gram_pinv(
             grid.shape, n1, n2, grid.trace_first, grid.trace_second
         )
         self._rhs = rhs
-        x0 = self._adjoint(self._gram_pinv @ rhs)
+        x0 = self._adjoint(self._gram_solve(rhs))
         self.inconsistency = float(np.linalg.norm(self._apply(x0) - rhs))
         self._consistency_tol = 1e-10 * (1.0 + float(np.linalg.norm(rhs)))
+        # Every solution has this total trace: each R preserves the trace.
+        self._total_trace = float(sum(np.trace(t).real for t in grid.first))
+        self._margin = 1e-9 * (1.0 + float(np.linalg.norm(rhs)))
 
     @property
     def consistent(self) -> bool:
@@ -229,8 +261,27 @@ class AffineConstraintSet:
         cols = _embed(r[self._cut :], s2).reshape(1, n2, dim, dim)
         return (rows + cols).reshape(self.stack_shape)
 
+    def _gram_solve(self, r: np.ndarray) -> np.ndarray:
+        """G⁺ r.  G⁺ is real, so it acts on the real and imaginary parts as
+        two columns of one real matmul."""
+        return (self._gram_pinv @ r.view(float).reshape(-1, 2)).view(complex)[:, 0]
+
     def _correction(self, x: np.ndarray) -> np.ndarray:
-        return self._adjoint(self._gram_pinv @ (self._apply(x) - self._rhs))
+        return self._adjoint(self._gram_solve(self._apply(x) - self._rhs))
+
+    def certificate(self, y: np.ndarray) -> Certificate | None:
+        """The Farkas certificate λ = G⁺(A y - t) read off a cone-side
+        iterate ``y`` (see the module docstring), or None when its bound
+        does not clear the rounding margin."""
+        lam = self._gram_solve(self._apply(y) - self._rhs)
+        w = self._adjoint(lam)
+        value = float(np.vdot(lam, self._rhs).real)
+        min_eig = _min_eig(w)
+        if value + self._total_trace * max(0.0, -min_eig) >= -self._margin:
+            return None
+        (n1, n2, _, _), (o1, o2) = self._grid_shape, self._out_dims
+        multipliers = [*lam[: self._cut].reshape(n1, o1, o1), *lam[self._cut :].reshape(n2, o2, o2)]
+        return Certificate([(m + m.conj().T) / 2 for m in multipliers], value, min_eig)
 
     def residual(self, x: np.ndarray) -> float:
         """Distance from ``x`` to the affine set."""
@@ -290,7 +341,7 @@ def _blocks(x: np.ndarray) -> list[np.ndarray]:
     return list((x + x.conj().swapaxes(1, 2)) / 2)
 
 
-_STALL_CHECK_EVERY = 25
+_CHECK_EVERY = 25
 
 
 def dykstra_solve(
@@ -303,9 +354,11 @@ def dykstra_solve(
     Starting from the affine projection of zero, each sweep projects onto the
     cone (with Dykstra's correction) and back onto the affine set.  Feasible
     is declared as soon as either iterate satisfies the other constraint
-    within tolerance; Infeasible when the iterate gap stalls (relative spread
-    below 1% across ``stall_window`` sweeps) at a value above ``tol_gap``;
-    otherwise Undecided at ``max_iter``.
+    within tolerance.  Infeasible is declared when a Farkas certificate read
+    off the cone-side iterate verifies (tried at sweep 1 and every 25
+    sweeps; the verdict carries it), or, uncertified, when the iterate gap
+    stalls (relative spread below 1% across ``stall_window`` sweeps) at a
+    value above ``tol_gap``.  Otherwise Undecided at ``max_iter``.
 
     The procedure is deterministic: identical problems and configs give
     identical verdicts and iteration counts.
@@ -326,7 +379,9 @@ def _dykstra_loop(
 ) -> FeasibilityVerdict:
     gap, neg, it = cs.inconsistency, 0.0, 0
 
-    def verdict(status: Status, witness=None, affine=None, psd=None) -> FeasibilityVerdict:
+    def verdict(
+        status: Status, witness=None, affine=None, psd=None, certificate=None
+    ) -> FeasibilityVerdict:
         return FeasibilityVerdict(
             status=status,
             witness=witness,
@@ -334,6 +389,7 @@ def _dykstra_loop(
             residual_psd=max(0.0, -neg) if psd is None else psd,
             gap_estimate=gap,
             iterations=it,
+            certificate=certificate,
         )
 
     if not cs.consistent:
@@ -364,8 +420,10 @@ def _dykstra_loop(
             return verdict(Status.FEASIBLE, _blocks(y), psd=max(0.0, -_min_eig(y)))
         if neg >= -cfg.tol_psd:
             return verdict(Status.FEASIBLE, _blocks(x), affine=cs.residual(x))
+        if (it == 1 or it % _CHECK_EVERY == 0) and (cert := cs.certificate(y)) is not None:
+            return verdict(Status.INFEASIBLE, certificate=cert)
         if (
-            it % _STALL_CHECK_EVERY == 0
+            it % _CHECK_EVERY == 0
             and len(window) == cfg.stall_window
             and gap > cfg.tol_gap
         ):

@@ -5,11 +5,11 @@ import sys
 import numpy as np
 import pytest
 
-from qcompat import compatibility
+from qcompat import compatibility, feasibility
 from qcompat.cli import EXIT_BY_STATUS, main
 from qcompat.deviceio import load_device, save_device
 from qcompat.devices import Instrument, induced_observable, total_channel
-from qcompat.feasibility import FeasibilityVerdict, Status
+from qcompat.feasibility import Certificate, FeasibilityVerdict, Status
 from qcompat.sampling import random_instrument
 
 from conftest import FIXTURES_DIR
@@ -106,6 +106,30 @@ class TestCheck:
         assert report["status"] == "error"
         assert report["violated_invariant"] == "observable.effects_sum_to_identity"
 
+    def test_infeasible_report_carries_the_certificate(self, fixtures_dir, capsys):
+        code, report = run_cli(
+            ["check", "parallel", str(fixtures_dir / "prop2_p.json"), str(fixtures_dir / "prop2_q.json")],
+            capsys,
+        )
+        assert code == 1
+        certificate = report["certificate"]
+        assert set(certificate) == {"value", "min_eig"}
+        assert certificate["value"] < 0
+
+    def test_certificate_is_null_without_a_certified_solve(self, fixtures_dir, capsys, monkeypatch):
+        # Feasible; infeasible by the exact total-channel precheck; infeasible
+        # by the stall rule.
+        prop1 = [str(fixtures_dir / f"prop1_{name}.json") for name in ("i1", "i2")]
+        for notion in ("parallel", "traditional"):
+            code, report = run_cli(["check", notion, *prop1], capsys)
+            assert (code, report["certificate"]) == (0 if notion == "parallel" else 1, None)
+        monkeypatch.setattr(feasibility.AffineConstraintSet, "certificate", lambda self, y: None)
+        code, report = run_cli(
+            ["check", "obs-obs", str(fixtures_dir / "sharp_x.json"), str(fixtures_dir / "sharp_z.json")],
+            capsys,
+        )
+        assert (code, report["iterations"], report["certificate"]) == (1, 500, None)
+
     def test_report_round_trips_through_json(self, fixtures_dir, capsys):
         code, report = run_cli(
             ["check", "obs-obs", str(fixtures_dir / "sharp_x.json"), str(fixtures_dir / "sharp_z.json")],
@@ -197,17 +221,24 @@ def test_validate_lists_good_and_bad_kraus_files(tmp_path, fixtures_dir, capsys)
 
 
 class TestSolverError:
-    """A FEASIBLE answer whose witness fails its checks is a solver error."""
+    """A FEASIBLE answer whose witness fails its checks, or an INFEASIBLE one
+    whose certificate fails its re-check, is a solver error."""
 
-    @pytest.fixture(params=["misses-marginals", "not-a-device"])
+    @pytest.fixture(params=["misses-marginals", "not-a-device", "bad-certificate"])
     def bad_witness(self, request, monkeypatch):
         if request.param == "misses-marginals":
             # A valid joint observable whose marginals are trivial, not X and Z.
             witness = [np.eye(2) / 4] * 4
-        else:
+        elif request.param == "not-a-device":
             witness = [np.diag([1.0, -1.0])] + [np.zeros((2, 2))] * 3
+        else:
+            # Re⟨λ, t⟩ = -2, but A†λ = -I: total trace 2 cancels it.
+            minus = [-np.eye(2), -np.eye(2), np.zeros((2, 2)), np.zeros((2, 2))]
+            certificate = Certificate(minus, -2.0, -1.0)
 
         def solve(cs, cfg=None, trace=None):
+            if request.param == "bad-certificate":
+                return FeasibilityVerdict(Status.INFEASIBLE, None, 0.1, 0.0, 0.1, 1, certificate)
             return FeasibilityVerdict(Status.FEASIBLE, witness, 0.0, 0.0, 0.0, 1)
 
         monkeypatch.setattr(compatibility, "dykstra_solve", solve)

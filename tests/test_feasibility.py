@@ -177,15 +177,23 @@ def test_projection_matches_dense_reference(notion, rng):
 @pytest.mark.parametrize(
     "notion, first, second, sweeps",
     [
-        ("obs-obs", "sharp_x", "sharp_z", 500),
+        # Each INFEASIBLE is certified at the first try, sweep 1.
+        ("obs-obs", "sharp_x", "sharp_z", 1),
         ("parallel", "prop1_i1", "prop1_i2", 143),
-        ("parallel", "prop2_p", "prop2_q", 525),
-        ("chan-chan", "identity_channel", "identity_channel", 525),
+        ("parallel", "prop2_p", "prop2_q", 1),
+        ("chan-chan", "identity_channel", "identity_channel", 1),
     ],
 )
 def test_fixture_sweep_counts(notion, first, second, sweeps, fixtures_dir):
     a, b = (load_device(fixtures_dir / f"{name}.json") for name in (first, second))
     assert NOTIONS[notion].check(a, b).verdict.iterations == sweeps
+
+
+@pytest.fixture
+def prop1_parallel(fixtures_dir):
+    # A FEASIBLE solve of 143 sweeps; INFEASIBLE ones stop at sweep 1.
+    a, b = (load_device(fixtures_dir / f"prop1_{name}.json") for name in ("i1", "i2"))
+    return _constraints("parallel", a, b)
 
 
 class TestDykstra:
@@ -238,10 +246,11 @@ class TestDykstra:
         assert v1.status == v2.status
         assert v1.iterations == v2.iterations
 
-    def test_trace_log_format_and_monotone_distance(self, sharp_x, sharp_z, tmp_path):
+    def test_trace_log_format_and_monotone_distance(self, prop1_parallel, tmp_path):
         buf = io.StringIO()
-        dykstra_solve(_constraints("obs-obs", sharp_x, sharp_z), SolverConfig(), trace=buf)
+        dykstra_solve(prop1_parallel, SolverConfig(), trace=buf)
         rows = [line.split(",") for line in buf.getvalue().splitlines() if not line.startswith("#")]
+        assert len(rows) == 143
         assert all(len(r) == 4 for r in rows)
         iterations = [int(r[0]) for r in rows]
         assert iterations == list(range(1, len(rows) + 1))
@@ -249,16 +258,15 @@ class TestDykstra:
         assert np.all(np.diff(affine_dist) <= 1e-12)
 
         path = tmp_path / "trace.log"
-        dykstra_solve(
-            _constraints("obs-obs", sharp_x, sharp_z), SolverConfig(trace_path=str(path))
-        )
+        dykstra_solve(prop1_parallel, SolverConfig(trace_path=str(path)))
         assert path.read_text().splitlines()[0].startswith("#")
 
 
-def test_trace_log_columns_are_distinct(sharp_x, sharp_z):
+def test_trace_log_columns_are_distinct(prop1_parallel):
     buf = io.StringIO()
-    dykstra_solve(_constraints("obs-obs", sharp_x, sharp_z), SolverConfig(), trace=buf)
+    dykstra_solve(prop1_parallel, SolverConfig(), trace=buf)
     rows = [line.split(",") for line in buf.getvalue().splitlines() if not line.startswith("#")]
+    assert len(rows) == 143
     gap = np.array([float(r[1]) for r in rows])
     correction = np.array([float(r[3]) for r in rows])
     assert np.any(gap != correction)
