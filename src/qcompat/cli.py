@@ -32,8 +32,8 @@ of its own.  The batch exits with the
 worst code of its entries.
 
 ``--trace-log`` appends one line per solver sweep: sweep number, the gap
-between the two iterates, the most negative eigenvalue of the affine-side
-iterate (0 when none), and the norm of the Dykstra correction.
+between the cone-side iterate and its affine projection, and the magnitude
+of the most negative eigenvalue of that affine projection (0 when none).
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ from .devices import (
 )
 from .deviceio import device_to_json, load_device, save_device
 from .feasibility import NotFeasibleAtOne, SolverConfig, Status, robustness_bisect
+from .feasibility import ROBUSTNESS_PRECISION
 from .sampling import random_channel, random_instrument
 
 REPORT_SCHEMA_VERSION = "1"
@@ -281,7 +282,7 @@ def _cmd_robustness(args: argparse.Namespace, command: list[str]) -> tuple[dict,
         "status": "ok",
         "robustness": round(value, 6),
         "noise_model": "mix each device toward its trivial counterpart: (1-t) D + t D_trivial",
-        "precision": 1e-3,
+        "precision": ROBUSTNESS_PRECISION,
         "wall_time_s": round(time.perf_counter() - started, 6),
     }
     return doc, 0
@@ -572,6 +573,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: a build costs about as much as deciding a small check.
+_PARSER = build_parser()
+
+
 def _error_report(command: list[str], exc: Exception, status: str = "error") -> dict:
     doc = {
         "schema_version": REPORT_SCHEMA_VERSION,
@@ -588,9 +593,8 @@ def _error_report(command: list[str], exc: Exception, status: str = "error") -> 
 
 def main(argv: list[str] | None = None) -> int:
     command = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(command)
+        args = _PARSER.parse_args(command)
     except SystemExit as exc:
         return 0 if not exc.code else EXIT_BY_STATUS["error"]
 

@@ -37,6 +37,7 @@ blocks W_xy rebuilt with :func:`linalg.tensor` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Sequence
 
@@ -105,10 +106,12 @@ def _cfg(cfg: SolverConfig | None) -> SolverConfig:
     return cfg or SolverConfig()
 
 
-def _witness_tols(cfg: SolverConfig) -> dict[str, float]:
+def _witness_tols(cfg: SolverConfig, blocks: int = 1) -> dict[str, float]:
     # Solver witnesses carry residuals at the solver's scale, an order or two
-    # above the construction-time defaults of exact devices.
-    return {"tol_psd": 10 * cfg.tol_psd, "tol_feas": 10 * cfg.tol_feas}
+    # above the construction-time defaults of exact devices.  A device or
+    # grid equation sums up to ``blocks`` witness blocks, each off by up to
+    # the solver's tolerance, so the allowance grows with √blocks.
+    return {"tol_psd": 10 * cfg.tol_psd, "tol_feas": 10 * cfg.tol_feas * math.sqrt(blocks)}
 
 
 # ---------------------------------------------------------------------------
@@ -185,12 +188,13 @@ def _decide(notion: str, first, second, cfg: SolverConfig | None) -> CompatRepor
     verdict = dykstra_solve(grid.build(), cfg)
     report = CompatReport(notion, verdict)
     if verdict.status is Status.FEASIBLE:
+        tols = _witness_tols(cfg, len(grid.first) * len(grid.second))
         try:
-            joint = record.joint(verdict.witness, first, second, **_witness_tols(cfg))
+            joint = record.joint(verdict.witness, first, second, **tols)
         except InvariantViolation as exc:
             raise SolverError(f"{notion} witness is not a valid device: {exc}") from exc
         worst = max(_grid_residuals(grid, verdict.witness))
-        limit = 10 * cfg.tol_feas
+        limit = tols["tol_feas"]
         if worst > limit:
             raise SolverError(
                 f"{notion} witness failed re-validation against the original "

@@ -159,22 +159,6 @@ def kraus_to_choi(kraus: Sequence[np.ndarray]) -> np.ndarray:
     return j
 
 
-def choi_to_kraus(
-    choi: np.ndarray, in_dim: int, out_dim: int, atol: float = 1e-10
-) -> list[np.ndarray]:
-    """Kraus operators from a PSD Choi matrix via eigendecomposition.
-
-    Operators with Frobenius norm below ``atol`` are dropped.
-    """
-    w, v = linalg.eigh(choi, tol=1e-9)
-    ops = []
-    for lam, col in zip(w[::-1], v[:, ::-1].T):
-        if lam <= atol * atol:
-            continue
-        ops.append(np.sqrt(lam) * col.reshape(in_dim, out_dim).T)
-    return ops
-
-
 def choi_compose(
     outer_choi: np.ndarray,
     outer_dims: tuple[int, int],
@@ -283,12 +267,6 @@ class Observable:
     def effect(self, label: str) -> np.ndarray:
         return self.effects[self.outcomes.index(label)]
 
-    def outcome_probabilities(self, rho: np.ndarray) -> dict[str, float]:
-        return {
-            label: float(np.real(np.trace(rho @ e)))
-            for label, e in zip(self.outcomes, self.effects)
-        }
-
     def __repr__(self) -> str:
         return f"Observable(in_dim={self.in_dim}, outcomes={self.outcomes})"
 
@@ -385,11 +363,6 @@ class QuantumChannel:
 
     def dual(self, x: np.ndarray) -> np.ndarray:
         return dual_apply(self.choi, x, self.in_dim, self.out_dim)
-
-    def kraus_operators(self, atol: float = 1e-10) -> list[np.ndarray]:
-        if self.kraus is not None:
-            return [np.array(k) for k in self.kraus]
-        return choi_to_kraus(self.choi, self.in_dim, self.out_dim, atol=atol)
 
     def __repr__(self) -> str:
         return f"QuantumChannel(in_dim={self.in_dim}, out_dim={self.out_dim})"

@@ -29,11 +29,12 @@ So K is the only matrix eigendecomposed, rank(A) = n1·o1² + (n2-1)·o2² +
 rank(K), and ``G⁺`` is assembled from K's spectrum once per grid layout
 (shape, n1, n2, traced factors); targets do not enter.
 
-Membership of the intersection is decided by alternating projections with
-Dykstra correction terms on the cone side; affine subspaces need no
-correction.  Each sweep projects the whole stack onto the cone with one
-batched eigendecomposition and tests the affine-side iterate with one
-batched eigenvalue solve.
+Membership of the intersection is decided by plain alternating
+projections, x <- P_A(P_S(x)): a feasibility problem needs some point of
+the intersection, not the nearest one, so no Dykstra correction is kept.
+Each sweep runs one batched eigendecomposition of the affine iterate x,
+which both tests x for PSD (its smallest eigenvalue) and gives the next
+sweep's cone projection.
 
 Infeasibility is certified, not guessed.  For multipliers λ (one Hermitian
 matrix per equation) and W = A†λ, every PSD X with A X = t satisfies
@@ -45,8 +46,10 @@ preserves the trace).  So ``Re⟨λ, t⟩ + τ·max(0, -λ_min(W)) < 0`` is a
 Farkas certificate that the intersection is empty (:class:`Certificate`);
 W is an incompatibility witness.  The solver tries λ = G⁺(A Y - t) on the
 cone-side iterate Y, which makes W = Y - P(Y) the displacement that
-Dykstra's iterates converge to when the sets are disjoint (Bauschke &
-Borwein 1994): W tends to PSD and ⟨λ, t⟩ to minus the squared distance.
+alternating projections converge to when the sets are disjoint (Bauschke &
+Borwein, "On the convergence of von Neumann's alternating projection
+algorithm for two sets", Set-Valued Analysis 1993): W tends to PSD and
+⟨λ, t⟩ to minus the squared distance.
 The try runs at sweep 1 and every 25 sweeps after, and accepts only below
 a rounding margin, so no feasible problem can pass it.  A gap that stalls
 at a positive value with no certificate found still ends INFEASIBLE, with
@@ -327,8 +330,8 @@ class ConstraintBuilder:
         return AffineConstraintSet(self, np.concatenate(rhs))
 
 
-def _project_psd(z: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(z)
+def _psd_part(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Projection onto the PSD cone of the stack with eigenpairs ``(w, v)``."""
     y = (v * np.maximum(w, 0.0)[:, None, :]) @ v.conj().swapaxes(1, 2)
     return (y + y.conj().swapaxes(1, 2)) / 2
 
@@ -352,13 +355,17 @@ def dykstra_solve(
     """Decide whether the affine set intersects the PSD product cone.
 
     Starting from the affine projection of zero, each sweep projects onto the
-    cone (with Dykstra's correction) and back onto the affine set.  Feasible
-    is declared as soon as either iterate satisfies the other constraint
-    within tolerance.  Infeasible is declared when a Farkas certificate read
-    off the cone-side iterate verifies (tried at sweep 1 and every 25
-    sweeps; the verdict carries it), or, uncertified, when the iterate gap
-    stalls (relative spread below 1% across ``stall_window`` sweeps) at a
-    value above ``tol_gap``.  Otherwise Undecided at ``max_iter``.
+    cone and back onto the affine set.  Feasible is declared as soon as
+    either iterate satisfies the other constraint within tolerance.
+    Infeasible is declared when a Farkas certificate read off the cone-side
+    iterate verifies (tried at sweep 1 and every 25 sweeps; the verdict
+    carries it), or, uncertified, when the iterate gap stalls (relative
+    spread below 1% across ``stall_window`` sweeps) at a value above
+    ``tol_gap``.  Otherwise Undecided at ``max_iter``.
+
+    Within a sweep, the gap exit and the certificate try come before the
+    eigendecomposition of the new affine iterate, so a solve that ends there
+    pays only an eigenvalue solve of that iterate, for its report.
 
     The procedure is deterministic: identical problems and configs give
     identical verdicts and iteration counts.
@@ -368,13 +375,13 @@ def dykstra_solve(
     if trace is None and cfg.trace_path:
         managed = trace = open(cfg.trace_path, "a")
     try:
-        return _dykstra_loop(cs, cfg, trace)
+        return _alternate(cs, cfg, trace)
     finally:
         if managed is not None:
             managed.close()
 
 
-def _dykstra_loop(
+def _alternate(
     cs: AffineConstraintSet, cfg: SolverConfig, trace: IO[str] | None
 ) -> FeasibilityVerdict:
     gap, neg, it = cs.inconsistency, 0.0, 0
@@ -401,27 +408,33 @@ def _dykstra_loop(
         )
 
     x = cs.project(np.zeros(cs.stack_shape, dtype=complex))
-    p = np.zeros(cs.stack_shape, dtype=complex)
+    w, v = np.linalg.eigh(x)
     window: deque[float] = deque(maxlen=cfg.stall_window)
     gap, neg = np.inf, -np.inf
+
+    def log() -> None:
+        if trace is not None:
+            trace.write(f"{it},{gap:.6e},{max(0.0, -neg):.6e}\n")
+
     for it in range(1, cfg.max_iter + 1):
-        z = x + p
-        y = _project_psd(z)
-        p = z - y
+        y = _psd_part(w, v)
         x = cs.project(y)
         gap = float(np.linalg.norm(y - x))
-        neg = _min_eig(x)
         window.append(gap)
 
-        if trace is not None:
-            trace.write(f"{it},{gap:.6e},{max(0.0, -neg):.6e},{np.linalg.norm(p):.6e}\n")
-
         if gap <= cfg.tol_feas:
+            neg = _min_eig(x)
+            log()
             return verdict(Status.FEASIBLE, _blocks(y), psd=max(0.0, -_min_eig(y)))
+        if (it == 1 or it % _CHECK_EVERY == 0) and (cert := cs.certificate(y)) is not None:
+            neg = _min_eig(x)
+            log()
+            return verdict(Status.INFEASIBLE, certificate=cert)
+        w, v = np.linalg.eigh(x)
+        neg = float(w[:, 0].min())
+        log()
         if neg >= -cfg.tol_psd:
             return verdict(Status.FEASIBLE, _blocks(x), affine=cs.residual(x))
-        if (it == 1 or it % _CHECK_EVERY == 0) and (cert := cs.certificate(y)) is not None:
-            return verdict(Status.INFEASIBLE, certificate=cert)
         if (
             it % _CHECK_EVERY == 0
             and len(window) == cfg.stall_window
@@ -433,10 +446,13 @@ def _dykstra_loop(
     return verdict(Status.UNDECIDED)
 
 
+ROBUSTNESS_PRECISION = 1e-3
+
+
 def robustness_bisect(
     problem_family: Callable[[float], AffineConstraintSet],
     cfg: SolverConfig | None = None,
-    precision: float = 1e-3,
+    precision: float = ROBUSTNESS_PRECISION,
 ) -> float:
     """Smallest noise level t in [0, 1] at which the family turns feasible.
 

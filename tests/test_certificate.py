@@ -66,13 +66,13 @@ def test_no_iterate_of_a_feasible_solve_is_certified(case, fixtures_dir, monkeyp
     else:
         cs = _constraints("obs-obs", noisy_pauli(PAULI_X, 0.5), noisy_pauli(PAULI_Z, 0.5))
     iterates = []
-    project_psd = feasibility._project_psd
+    psd_part = feasibility._psd_part
 
-    def recording(z):
-        iterates.append(project_psd(z))
+    def recording(w, v):
+        iterates.append(psd_part(w, v))
         return iterates[-1]
 
-    monkeypatch.setattr(feasibility, "_project_psd", recording)
+    monkeypatch.setattr(feasibility, "_psd_part", recording)
     verdict = dykstra_solve(cs)
     assert verdict.status is Status.FEASIBLE
     assert len(iterates) == verdict.iterations

@@ -1,3 +1,4 @@
+import inspect
 import json
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from qcompat import compatibility, feasibility
+from qcompat import cli, compatibility, feasibility
 from qcompat.cli import EXIT_BY_STATUS, main
 from qcompat.deviceio import load_device, save_device
 from qcompat.devices import Instrument, induced_observable, total_channel
@@ -336,6 +337,21 @@ class TestRobustness:
         assert code == 0
         assert report["robustness"] == pytest.approx(1 - 1 / np.sqrt(2), abs=5e-3)
 
+    def test_reports_the_precision_it_used(self, fixtures_dir, capsys):
+        _, report = run_cli(
+            [
+                "robustness",
+                "obs-obs",
+                str(fixtures_dir / "sharp_x.json"),
+                str(fixtures_dir / "sharp_z.json"),
+            ],
+            capsys,
+        )
+        used = inspect.signature(feasibility.robustness_bisect).parameters["precision"].default
+        assert report["precision"] == used == feasibility.ROBUSTNESS_PRECISION
+        exact = 1 - 1 / np.sqrt(2)
+        assert exact <= report["robustness"] <= exact + report["precision"]
+
     def test_unsupported_notion(self, fixtures_dir, capsys):
         code, _ = run_cli(
             [
@@ -393,7 +409,23 @@ class TestDemo:
         assert code == 1
         lines = trace.read_text().splitlines()
         assert lines[0].startswith("#")
-        assert len(lines[1].split(",")) == 4
+        assert len(lines[1].split(",")) == 3
+
+
+def test_parser_is_built_once_per_process(fixtures_dir, monkeypatch, capsys):
+    builds = []
+    build_parser = cli.build_parser
+
+    def counting():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    argv = ["validate", str(fixtures_dir / "sharp_x.json")]
+    assert run_cli(argv, capsys)[0] == 0
+    before = len(builds)
+    assert run_cli(argv, capsys)[0] == 0
+    assert len(builds) == before
 
 
 def test_console_entry_point(fixtures_dir):

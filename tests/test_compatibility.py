@@ -1,9 +1,14 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from qcompat import compatibility
 from qcompat.compatibility import (
     BadDistribution,
     Scenario,
+    SolverError,
     check_chan_chan,
     check_obs_chan,
     check_obs_obs,
@@ -25,6 +30,7 @@ from qcompat.compatibility import (
     parallel_composition,
     _parallel_marginal_residuals,
 )
+from qcompat.deviceio import load_device
 from qcompat.devices import (
     DimMismatch,
     Instrument,
@@ -254,6 +260,33 @@ class TestParallel:
         assert np.linalg.norm(
             partial_trace(joint_total, shape, {1}) - sum(i2.branches)
         ) <= 1e-6
+
+
+@pytest.fixture(scope="module")
+def giant_self_pair():
+    # 16 blocks of 32x32: the trace-preservation residual of the rebuilt
+    # instrument sums all of them (about 1.5e-6 at the solver's 1e-7 gap).
+    giant = load_device(Path(__file__).resolve().parent.parent / "fixtures" / "prop1_giant.json")
+    return giant, check_parallel(giant, giant)
+
+
+class TestWitnessTolerance:
+    def test_many_block_witness_revalidates(self, giant_self_pair):
+        giant, report = giant_self_pair
+        assert report.status is Status.FEASIBLE
+        assert report.joint_device is not None
+        assert max(_parallel_marginal_residuals(report.joint_device, giant, giant)) <= 1e-6
+
+    def test_perturbed_witness_is_rejected(self, giant_self_pair, monkeypatch):
+        giant, report = giant_self_pair
+        witness = list(report.verdict.witness)
+        dim = witness[0].shape[0]
+        # PSD, so only the marginals can catch it: 1e-3 in Frobenius norm.
+        witness[0] = witness[0] + 1e-3 * np.eye(dim) / np.sqrt(dim)
+        bumped = dataclasses.replace(report.verdict, witness=witness)
+        monkeypatch.setattr(compatibility, "dykstra_solve", lambda cs, cfg=None: bumped)
+        with pytest.raises(SolverError):
+            check_parallel(giant, giant)
 
 
 class TestRedefined:

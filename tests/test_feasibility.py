@@ -14,6 +14,7 @@ from qcompat.compatibility import (
 from qcompat.deviceio import load_device
 from qcompat.devices import Instrument, QuantumChannel
 from qcompat.feasibility import (
+    AffineConstraintSet,
     ConstraintBuilder,
     InconsistentConstraints,
     NotFeasibleAtOne,
@@ -251,7 +252,7 @@ class TestDykstra:
         dykstra_solve(prop1_parallel, SolverConfig(), trace=buf)
         rows = [line.split(",") for line in buf.getvalue().splitlines() if not line.startswith("#")]
         assert len(rows) == 143
-        assert all(len(r) == 4 for r in rows)
+        assert all(len(r) == 3 for r in rows)
         iterations = [int(r[0]) for r in rows]
         assert iterations == list(range(1, len(rows) + 1))
         affine_dist = np.array([float(r[1]) for r in rows])
@@ -262,14 +263,42 @@ class TestDykstra:
         assert path.read_text().splitlines()[0].startswith("#")
 
 
+def test_one_eigendecomposition_per_sweep(prop1_parallel, monkeypatch):
+    calls = {"eigh": 0, "eigvalsh": 0}
+
+    def counting(name):
+        solve = getattr(np.linalg, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return solve(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    tries = []
+    certificate = AffineConstraintSet.certificate
+    monkeypatch.setattr(
+        AffineConstraintSet, "certificate", lambda cs, y: tries.append(y) or certificate(cs, y)
+    )
+    verdict = dykstra_solve(prop1_parallel)
+    assert verdict.status is Status.FEASIBLE
+    assert verdict.iterations == 143
+    # One eigh for the starting point and one per sweep; eigvalsh only in a
+    # certificate try and, for the two iterates' reports, at the exit.
+    assert calls["eigh"] <= verdict.iterations + 1
+    assert calls["eigvalsh"] <= len(tries) + 2
+
+
 def test_trace_log_columns_are_distinct(prop1_parallel):
     buf = io.StringIO()
     dykstra_solve(prop1_parallel, SolverConfig(), trace=buf)
     rows = [line.split(",") for line in buf.getvalue().splitlines() if not line.startswith("#")]
     assert len(rows) == 143
     gap = np.array([float(r[1]) for r in rows])
-    correction = np.array([float(r[3]) for r in rows])
-    assert np.any(gap != correction)
+    negative_eig = np.array([float(r[2]) for r in rows])
+    assert np.any(gap != negative_eig)
 
 
 class TestRobustness:

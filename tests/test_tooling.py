@@ -4,6 +4,8 @@ import sys
 from pathlib import Path
 
 from qcompat import compatibility
+from qcompat.deviceio import load_device
+from qcompat.feasibility import Status
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "make_fixtures.py"
@@ -38,23 +40,30 @@ def test_benchmark_workloads_build_and_warm_up(tmp_path, monkeypatch):
             step()
 
 
-def test_benchmark_trace_contract(sharp_x, sharp_z, monkeypatch):
+def test_benchmark_trace_contract(sharp_x, sharp_z, fixtures_dir, monkeypatch):
     # perfbench/tracing.py patches solver names and requires each constraint
     # factorization to run inside a build, each projection inside a solve.
+    # Sharp X/Z is certified at sweep 1; prop1 parallel is FEASIBLE after 143
+    # sweeps.
     tracing = _load_perfbench("tracing", monkeypatch)
-    tracer = tracing.Tracer()
-    tracer.install()
-    try:
-        report = compatibility.check_obs_obs(sharp_x, sharp_z)
-    finally:
-        tracer.uninstall()
-    spans = tracer.spans
+    prop1 = [load_device(fixtures_dir / f"prop1_{name}.json") for name in ("i1", "i2")]
+    for check, pair in ((compatibility.check_obs_obs, (sharp_x, sharp_z)),
+                        (compatibility.check_parallel, prop1)):
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            report = check(*pair)
+        finally:
+            tracer.uninstall()
+        spans = tracer.spans
 
-    def parents(name):
-        return [spans[s.parent].name if s.parent is not None else None for s in spans if s.name == name]
+        def parents(name):
+            return [spans[s.parent].name if s.parent is not None else None for s in spans if s.name == name]
 
-    assert parents("feasibility.factor") == ["feasibility.build"]
-    projections = parents("feasibility.project")
-    assert projections == ["feasibility.dykstra_solve"] * (report.verdict.iterations + 1)
-    assert tracer.escaped_calls() == []
+        assert parents("feasibility.factor") == ["feasibility.build"]
+        projections = parents("feasibility.project")
+        assert projections == ["feasibility.dykstra_solve"] * (report.verdict.iterations + 1)
+        assert tracer.escaped_calls() == []
+    assert report.status is Status.FEASIBLE
+    assert report.verdict.iterations > 1
 
