@@ -30,7 +30,6 @@ from .compatibility import (
     check_redefined,
     check_traditional,
     check_weak,
-    induced_joint_observable,
     marginal_instrument,
     parallel_composition,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "compose_instrument_channel",
     "dual_apply",
     "dykstra_solve",
-    "induced_joint_observable",
     "induced_observable",
     "luders_instrument",
     "marginal_instrument",

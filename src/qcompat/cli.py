@@ -19,9 +19,9 @@ infeasibility certificate that does not hold).
 A check report's ``certificate`` is ``{"value", "min_eig"}`` for an
 INFEASIBLE verdict the solver certified: Re⟨λ, t⟩ and the smallest
 eigenvalue of the incompatibility witness A†λ, re-checked against the
-devices before the report is written.  It is null otherwise, including an
-INFEASIBLE found by the exact total-channel precheck or by the solver's
-stall rule.
+devices before the report is written.  It is null only for FEASIBLE and
+UNDECIDED results and for an INFEASIBLE decided exactly, before any solve
+(``weak``, and the ``traditional`` prechecks).
 
 A batch manifest is a JSON object ``{"checks": [...]}`` where each entry has
 ``notion``, ``devices`` (list of file paths), and optionally ``witness_out``
@@ -31,6 +31,7 @@ string ``notion``, a list ``devices`` and string paths gets an error report
 of its own.  The batch exits with the
 worst code of its entries.
 
+The solver flags are ``--tol-feas``, ``--max-iter`` and ``--trace-log``.
 ``--trace-log`` appends one line per solver sweep: sweep number, the gap
 between the cone-side iterate and its affine projection, and the magnitude
 of the most negative eigenvalue of that affine projection (0 when none).
@@ -78,9 +79,6 @@ EXIT_BY_STATUS = {
 _CHECKS = {name: (notion.check, notion.kinds) for name, notion in compat.NOTIONS.items()}
 _FAMILIES = sorted(name for name, notion in compat.NOTIONS.items() if notion.mix)
 
-DEMO_NAMES = ("prop1", "prop2", "example1", "example2", "theorem1")
-
-
 class CliInputError(Exception):
     def __init__(self, message: str, invariant: str | None = None):
         super().__init__(message)
@@ -124,8 +122,6 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
     kwargs = {}
     if getattr(args, "tol_feas", None) is not None:
         kwargs["tol_feas"] = args.tol_feas
-    if getattr(args, "tol_gap", None) is not None:
-        kwargs["tol_gap"] = args.tol_gap
     if getattr(args, "max_iter", None) is not None:
         kwargs["max_iter"] = args.max_iter
     if getattr(args, "trace_log", None):
@@ -495,24 +491,25 @@ def _demo_theorem1(cfg: SolverConfig, seed: int) -> list[dict]:
     return checks
 
 
+# Each demo with its default seed.
 _DEMOS = {
-    "prop1": _demo_prop1,
-    "prop2": _demo_prop2,
-    "example1": _demo_example1,
-    "example2": _demo_example2,
-    "theorem1": _demo_theorem1,
+    "prop1": (_demo_prop1, 7),
+    "prop2": (_demo_prop2, 0),
+    "example1": (_demo_example1, 0),
+    "example2": (_demo_example2, 0),
+    "theorem1": (_demo_theorem1, 3),
 }
-
-_DEMO_DEFAULT_SEEDS = {"prop1": 7, "example1": 0, "theorem1": 3, "prop2": 0, "example2": 0}
+DEMO_NAMES = tuple(_DEMOS)
 
 
 def _cmd_demo(args: argparse.Namespace, command: list[str]) -> tuple[dict, int]:
     if args.name not in _DEMOS:
         raise CliInputError(f"unknown demo {args.name!r}; expected one of {DEMO_NAMES}")
     cfg = _solver_config(args)
-    seed = args.seed if args.seed is not None else _DEMO_DEFAULT_SEEDS[args.name]
+    demo, default_seed = _DEMOS[args.name]
+    seed = args.seed if args.seed is not None else default_seed
     started = time.perf_counter()
-    checks = _DEMOS[args.name](cfg, seed)
+    checks = demo(cfg, seed)
     if any(c["status"] == "undecided" for c in checks):
         status = "undecided"
     elif all(c["ok"] for c in checks):
@@ -546,7 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_solver_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--tol-feas", type=float, default=None, help="feasibility tolerance")
-        p.add_argument("--tol-gap", type=float, default=None, help="infeasibility gap threshold")
         p.add_argument("--max-iter", type=int, default=None, help="solver iteration cap")
         p.add_argument("--trace-log", default=None, help="append per-iteration residuals to this file")
 

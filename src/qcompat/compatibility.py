@@ -31,8 +31,8 @@ INFEASIBLE verdict's Farkas certificate is re-checked the same way, its
 blocks W_xy rebuilt with :func:`linalg.tensor` and
 :func:`linalg.reorder_factors`; one that does not hold raises
 :class:`SolverError` too.
-``parallel_composition``, ``induced_joint_observable`` and
-``marginal_instrument`` build witnesses in closed form instead.
+``parallel_composition`` and ``marginal_instrument`` build witnesses in
+closed form instead.
 """
 
 from __future__ import annotations
@@ -54,12 +54,12 @@ from .devices import (
     choi_tensor,
     composite_label,
     compose_instrument_channel,
-    induced_observable,
     luders_instrument,
     split_composite,
     total_channel,
 )
 from .feasibility import (
+    TOL_PSD,
     AffineConstraintSet,
     Certificate,
     ConstraintBuilder,
@@ -111,7 +111,7 @@ def _witness_tols(cfg: SolverConfig, blocks: int = 1) -> dict[str, float]:
     # above the construction-time defaults of exact devices.  A device or
     # grid equation sums up to ``blocks`` witness blocks, each off by up to
     # the solver's tolerance, so the allowance grows with √blocks.
-    return {"tol_psd": 10 * cfg.tol_psd, "tol_feas": 10 * cfg.tol_feas * math.sqrt(blocks)}
+    return {"tol_psd": 10 * TOL_PSD, "tol_feas": 10 * cfg.tol_feas * math.sqrt(blocks)}
 
 
 # ---------------------------------------------------------------------------
@@ -396,16 +396,6 @@ def parallel_composition(
             labels.append(composite_label(x, y))
     giant = Instrument(branches, h, k1 * k2, labels, **tols)
     return i1, i2, giant
-
-
-def induced_joint_observable(giant: Instrument, **kwargs) -> Observable:
-    """Joint observable measured by a composite-outcome instrument.
-
-    Effect (x, y) is the dual of branch (x, y) applied to the identity; the
-    outcome-group sums reproduce the observables induced by the instrument's
-    parallel marginals.
-    """
-    return induced_observable(giant, **kwargs)
 
 
 def observable_marginal(joint: Observable, side: str, **kwargs) -> Observable:

@@ -23,7 +23,6 @@ from qcompat.compatibility import (
     gen_parallel_only_pair,
     gen_shared_observable_pair,
     gen_traditional_only_pair,
-    induced_joint_observable,
     marginal_instrument,
     mix_channel,
     obs_obs_family,
@@ -127,7 +126,7 @@ def test_criterion_3_no_cloning_and_verdict_agreement():
 def test_criterion_4_joint_observable_extraction(constructed_pairs):
     with criterion(4, "joint observable of 20 constructed witnesses matches induced observables <= 1e-6"):
         for i1, i2, giant in constructed_pairs:
-            joint = induced_joint_observable(giant)
+            joint = induced_observable(giant)
             a = induced_observable(i1)
             b = induced_observable(i2)
             marg_a = observable_marginal(joint, "first")

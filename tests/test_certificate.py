@@ -40,7 +40,7 @@ def test_every_infeasible_fixture_verdict_is_certified(fixtures_dir):
         if report.status is not Status.INFEASIBLE:
             continue
         certificate = report.verdict.certificate
-        if report.verdict.iterations == 0:
+        if notion == "weak" or {"weak precheck failed", "output spaces differ"} & set(report.notes):
             # Decided exactly, before any solve: unequal total channels.
             assert certificate is None, (notion, na, nb)
             continue
@@ -125,8 +125,10 @@ def test_sharp_x_z_certificate_is_the_squared_distance(sharp_x, sharp_z):
 
 
 def test_stall_rule_is_an_uncertified_fallback(sharp_x, sharp_z, monkeypatch):
+    # Without a certificate the solve runs its whole budget and ends
+    # UNDECIDED: a stalled gap is never an uncertified INFEASIBLE.
     monkeypatch.setattr(AffineConstraintSet, "certificate", lambda self, y: None)
-    verdict = dykstra_solve(_constraints("obs-obs", sharp_x, sharp_z), SolverConfig())
-    assert verdict.status is Status.INFEASIBLE
-    assert verdict.iterations == 500
+    verdict = dykstra_solve(_constraints("obs-obs", sharp_x, sharp_z), SolverConfig(max_iter=600))
+    assert verdict.status is Status.UNDECIDED
+    assert verdict.iterations == 600
     assert verdict.certificate is None

@@ -118,18 +118,21 @@ class TestCheck:
         assert certificate["value"] < 0
 
     def test_certificate_is_null_without_a_certified_solve(self, fixtures_dir, capsys, monkeypatch):
-        # Feasible; infeasible by the exact total-channel precheck; infeasible
-        # by the stall rule.
+        # Feasible; infeasible by the exact total-channel precheck; undecided
+        # when no certificate is found within the sweep budget.
         prop1 = [str(fixtures_dir / f"prop1_{name}.json") for name in ("i1", "i2")]
         for notion in ("parallel", "traditional"):
             code, report = run_cli(["check", notion, *prop1], capsys)
             assert (code, report["certificate"]) == (0 if notion == "parallel" else 1, None)
         monkeypatch.setattr(feasibility.AffineConstraintSet, "certificate", lambda self, y: None)
         code, report = run_cli(
-            ["check", "obs-obs", str(fixtures_dir / "sharp_x.json"), str(fixtures_dir / "sharp_z.json")],
+            [
+                "check", "obs-obs", str(fixtures_dir / "sharp_x.json"), str(fixtures_dir / "sharp_z.json"),
+                "--max-iter", "600",
+            ],
             capsys,
         )
-        assert (code, report["iterations"], report["certificate"]) == (1, 500, None)
+        assert (code, report["iterations"], report["certificate"]) == (2, 600, None)
 
     def test_report_round_trips_through_json(self, fixtures_dir, capsys):
         code, report = run_cli(
@@ -237,7 +240,7 @@ class TestSolverError:
             minus = [-np.eye(2), -np.eye(2), np.zeros((2, 2)), np.zeros((2, 2))]
             certificate = Certificate(minus, -2.0, -1.0)
 
-        def solve(cs, cfg=None, trace=None):
+        def solve(cs, cfg=None):
             if request.param == "bad-certificate":
                 return FeasibilityVerdict(Status.INFEASIBLE, None, 0.1, 0.0, 0.1, 1, certificate)
             return FeasibilityVerdict(Status.FEASIBLE, witness, 0.0, 0.0, 0.0, 1)
@@ -456,13 +459,15 @@ def test_solver_flags_reach_config(fixtures_dir, capsys):
             str(fixtures_dir / "sharp_z.json"),
             "--max-iter",
             "600",
-            "--tol-gap",
-            "1e-5",
         ],
         capsys,
     )
     assert code == 1
     assert report["iterations"] <= 600
+    # --tol-gap is not a flag: argparse rejects it as malformed input.
+    sharp = [str(fixtures_dir / "sharp_x.json"), str(fixtures_dir / "sharp_z.json")]
+    assert main(["check", "obs-obs", *sharp, "--tol-gap", "1e-5"]) == 3
+    assert "--tol-gap" in capsys.readouterr().err
 
 
 def test_non_finite_tolerance_is_input_error(fixtures_dir, capsys):

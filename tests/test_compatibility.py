@@ -6,6 +6,7 @@ import pytest
 
 from qcompat import compatibility
 from qcompat.compatibility import (
+    NOTIONS,
     BadDistribution,
     Scenario,
     SolverError,
@@ -21,13 +22,13 @@ from qcompat.compatibility import (
     gen_parallel_only_pair,
     gen_shared_observable_pair,
     gen_traditional_only_pair,
-    induced_joint_observable,
     marginal_instrument,
     mix_channel,
     mix_instrument,
     mix_observable,
     observable_marginal,
     parallel_composition,
+    _grid_residuals,
     _parallel_marginal_residuals,
 )
 from qcompat.deviceio import load_device
@@ -289,6 +290,30 @@ class TestWitnessTolerance:
             check_parallel(giant, giant)
 
 
+class TestNearlyEqualTargets:
+    """Targets that agree only to about 1e-9, which device validation
+    accepts: the grid is solved on its least-squares set, not called empty."""
+
+    def test_instrument_pair_is_compatible(self):
+        ident = QuantumChannel.identity(2).choi
+        near = (1 - 1e-9) * ident + 1e-9 * np.eye(4) / 2
+        i1 = Instrument([ident / 2, ident / 2], 2, 2)
+        i2 = Instrument([near / 2, near / 2], 2, 2)
+        grid = NOTIONS["traditional"].grid(i1, i2)
+        for check in (check_traditional, check_redefined):
+            report = check(i1, i2)
+            assert report.status is Status.FEASIBLE
+            assert max(_grid_residuals(grid, report.joint_device.branches)) <= 1e-8
+
+    def test_sharp_z_with_a_perturbed_effect(self, sharp_z):
+        effects = [sharp_z.effects[0] + np.diag([6.4e-10, 0.0]), sharp_z.effects[1]]
+        perturbed = Observable(effects, sharp_z.outcomes)
+        report = check_obs_obs(sharp_z, perturbed)
+        assert report.status is Status.FEASIBLE
+        grid = NOTIONS["obs-obs"].grid(sharp_z, perturbed)
+        assert max(_grid_residuals(grid, report.joint_device.effects)) <= 1e-6
+
+
 class TestRedefined:
     def test_traditional_leg_only(self):
         sc = gen_traditional_only_pair(np.array([[0.25, 0.25], [0.25, 0.25]]))
@@ -343,7 +368,7 @@ class TestJointObservableExtraction:
             random_instrument(2, 2, 2, 1, rng),
             random_instrument(2, 3, 2, 1, rng),
         )
-        joint = induced_joint_observable(giant)
+        joint = induced_observable(giant)
         a = induced_observable(i1)
         b = induced_observable(i2)
         marg_a = observable_marginal(joint, "first")
@@ -356,7 +381,7 @@ class TestJointObservableExtraction:
     def test_single_branch_giant(self, rng):
         chan = random_channel(2, 4, 2, rng)
         giant = Instrument([chan.choi], 2, 4, [composite_label("0", "0")])
-        joint = induced_joint_observable(giant)
+        joint = induced_observable(giant)
         assert np.linalg.norm(joint.effects[0] - EYE2) <= 1e-10
 
     def test_trivial_weights_giant(self):
@@ -364,7 +389,7 @@ class TestJointObservableExtraction:
         ident_choi = QuantumChannel.identity(2).choi
         halves = Instrument([ident_choi / 2, ident_choi / 2], 2, 2)
         _, _, giant = parallel_composition(attach, halves, halves)
-        joint = induced_joint_observable(giant)
+        joint = induced_observable(giant)
         for e in joint.effects:
             assert np.linalg.norm(e - EYE2 / 4) <= 1e-12
 
@@ -448,7 +473,7 @@ class TestTheorem1Item1:
         i2 = marginal_traditional(composite, "second")
         report = check_traditional(i1, i2)
         assert report.status is Status.FEASIBLE
-        joint_obs = induced_joint_observable(report.joint_device, tol_feas=1e-5, tol_psd=1e-6)
+        joint_obs = induced_observable(report.joint_device, tol_feas=1e-5, tol_psd=1e-6)
         a = induced_observable(i1)
         b = induced_observable(i2)
         marg_a = observable_marginal(joint_obs, "first", tol_feas=1e-5, tol_psd=1e-6)

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -7,6 +6,7 @@ import pytest
 from qcompat import compatibility, linalg
 from qcompat.compatibility import (
     NOTIONS,
+    _check_certificate,
     _constraints,
     _grid_residuals,
     obs_obs_family,
@@ -14,9 +14,9 @@ from qcompat.compatibility import (
 from qcompat.deviceio import load_device
 from qcompat.devices import Instrument, QuantumChannel
 from qcompat.feasibility import (
+    TOL_PSD,
     AffineConstraintSet,
     ConstraintBuilder,
-    InconsistentConstraints,
     NotFeasibleAtOne,
     SolverConfig,
     Status,
@@ -37,19 +37,18 @@ class TestSolverConfig:
     def test_defaults(self):
         cfg = SolverConfig()
         assert cfg.tol_feas == 1e-7
-        assert cfg.tol_psd == 1e-9
-        assert cfg.tol_gap == 1e-6
+        assert TOL_PSD == 1e-9
         assert cfg.max_iter == 20000
-        assert cfg.stall_window == 500
+        assert cfg.trace_path is None
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             SolverConfig(tol_feas=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(max_iter=10, stall_window=100)
+        # stall_window does nothing, so it does not bound max_iter.
+        SolverConfig(max_iter=10, stall_window=100)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
-    @pytest.mark.parametrize("name", ["tol_feas", "tol_psd", "tol_gap"])
+    @pytest.mark.parametrize("name", ["tol_feas"])
     def test_rejects_non_finite_tolerance(self, name, value):
         with pytest.raises(ValueError, match=name):
             SolverConfig(**{name: value})
@@ -59,6 +58,12 @@ def _inconsistent_traces() -> ConstraintBuilder:
     # tr(X) = 1 and tr(X) = 2 on one qubit block: a 1x1 grid of shape (1, 2)
     # whose two sides both trace out factor 1.
     return ConstraintBuilder((1, 2), [np.eye(1)], [2.0 * np.eye(1)], 1, 1)
+
+
+def _near_equal_traces() -> ConstraintBuilder:
+    # tr(X) = 1 and tr(X) = 1 + δ, with least-squares misfit δ/√2 = 1e-10.
+    delta = 2**0.5 * 1e-10
+    return ConstraintBuilder((1, 2), [np.eye(1)], [(1 + delta) * np.eye(1)], 1, 1)
 
 
 class TestProjectAffine:
@@ -84,16 +89,38 @@ class TestProjectAffine:
 
     def test_inconsistent_traces(self):
         cs = _inconsistent_traces().build()
-        assert not cs.consistent
         # The least-squares misfit: both traces at 1.5.
         assert cs.inconsistency == pytest.approx(0.5**0.5)
-        with pytest.raises(InconsistentConstraints):
-            cs.project(np.zeros((1, 2, 2)))
+        # project is the Moore-Penrose projection onto tr X = 1.5.
+        projected = cs.project(np.zeros((1, 2, 2)))
+        assert np.allclose(projected, 0.75 * np.eye(2))
+        assert cs.residual(projected) <= 1e-12
 
     def test_inconsistent_reported_infeasible(self):
-        verdict = dykstra_solve(_inconsistent_traces().build())
+        grid = _inconsistent_traces()
+        verdict = dykstra_solve(grid.build())
         assert verdict.status is Status.INFEASIBLE
         assert verdict.iterations == 0
+        # λ = (1, -1)/√2: A†λ = 0 and Re⟨λ, t⟩ = -√0.5.
+        certificate = verdict.certificate
+        assert certificate.value == pytest.approx(-(0.5**0.5))
+        assert abs(certificate.min_eig) <= 1e-12
+        assert _check_certificate("toy", grid, certificate) == pytest.approx(-(0.5**0.5))
+
+    def test_misfit_below_the_margin_is_undecided(self):
+        # Misfit 1e-10 exceeds tol_feas 1e-12, but its certificate cannot
+        # clear the rounding margin of about 2e-9.
+        grid = _near_equal_traces()
+        verdict = dykstra_solve(grid.build(), SolverConfig(tol_feas=1e-12))
+        assert (verdict.status, verdict.iterations, verdict.certificate) == (Status.UNDECIDED, 0, None)
+
+    def test_misfit_within_tol_feas_is_solved(self):
+        # The same misfit under the default tol_feas: solved on the
+        # least-squares set, tr X = 1 + 0.5·δ.
+        grid = _near_equal_traces()
+        verdict = dykstra_solve(grid.build())
+        assert verdict.status is Status.FEASIBLE
+        assert max(_grid_residuals(grid, verdict.witness)) <= 1e-10
 
 
 def test_builder_rejects_malformed_equations():
@@ -211,9 +238,10 @@ class TestDykstra:
         # Oracle: for unbiased orthogonal qubit observables the joint exists
         # iff lam_a^2 + lam_b^2 <= 1; here 1 + 1 = 2 > 1.
         assert not busch_compatible(1.0, 1.0)
-        verdict = dykstra_solve(_constraints("obs-obs", sharp_x, sharp_z))
+        grid = NOTIONS["obs-obs"].grid(sharp_x, sharp_z)
+        verdict = dykstra_solve(grid.build())
         assert verdict.status is Status.INFEASIBLE
-        assert verdict.gap_estimate >= SolverConfig().tol_gap
+        assert _check_certificate("obs-obs", grid, verdict.certificate) < 0
 
     def test_cloning_identity_infeasible(self):
         ident = QuantumChannel.identity(2)
@@ -227,7 +255,7 @@ class TestDykstra:
         )
         assert verdict.status is Status.FEASIBLE
         assert verdict.residual_affine <= cfg.tol_feas
-        assert verdict.residual_psd <= cfg.tol_psd
+        assert verdict.residual_psd <= TOL_PSD
         assert verdict.witness is not None
 
     def test_determinism(self, sharp_x, sharp_z):
@@ -248,19 +276,17 @@ class TestDykstra:
         assert v1.iterations == v2.iterations
 
     def test_trace_log_format_and_monotone_distance(self, prop1_parallel, tmp_path):
-        buf = io.StringIO()
-        dykstra_solve(prop1_parallel, SolverConfig(), trace=buf)
-        rows = [line.split(",") for line in buf.getvalue().splitlines() if not line.startswith("#")]
+        path = tmp_path / "trace.log"
+        dykstra_solve(prop1_parallel, SolverConfig(trace_path=str(path)))
+        lines = path.read_text().splitlines()
+        assert lines[0].startswith("#")
+        rows = [line.split(",") for line in lines if not line.startswith("#")]
         assert len(rows) == 143
         assert all(len(r) == 3 for r in rows)
         iterations = [int(r[0]) for r in rows]
         assert iterations == list(range(1, len(rows) + 1))
         affine_dist = np.array([float(r[1]) for r in rows])
         assert np.all(np.diff(affine_dist) <= 1e-12)
-
-        path = tmp_path / "trace.log"
-        dykstra_solve(prop1_parallel, SolverConfig(trace_path=str(path)))
-        assert path.read_text().splitlines()[0].startswith("#")
 
 
 def test_one_eigendecomposition_per_sweep(prop1_parallel, monkeypatch):
@@ -291,10 +317,10 @@ def test_one_eigendecomposition_per_sweep(prop1_parallel, monkeypatch):
     assert calls["eigvalsh"] <= len(tries) + 2
 
 
-def test_trace_log_columns_are_distinct(prop1_parallel):
-    buf = io.StringIO()
-    dykstra_solve(prop1_parallel, SolverConfig(), trace=buf)
-    rows = [line.split(",") for line in buf.getvalue().splitlines() if not line.startswith("#")]
+def test_trace_log_columns_are_distinct(prop1_parallel, tmp_path):
+    path = tmp_path / "trace.log"
+    dykstra_solve(prop1_parallel, SolverConfig(trace_path=str(path)))
+    rows = [line.split(",") for line in path.read_text().splitlines() if not line.startswith("#")]
     assert len(rows) == 143
     gap = np.array([float(r[1]) for r in rows])
     negative_eig = np.array([float(r[2]) for r in rows])
