@@ -362,7 +362,7 @@ def _demo_prop2(cfg: SolverConfig, seed: int) -> list[dict]:
 
 
 def _demo_prop1(cfg: SolverConfig, seed: int) -> list[dict]:
-    sc = compat.gen_parallel_only_pair(seed=seed, cfg=cfg)
+    sc = compat.gen_parallel_only_pair(seed=seed)
     checks = _scenario_checks(sc, cfg, ["weak", "traditional", "parallel"])
     giant = sc.extras["giant"]
     residual = max(
@@ -466,28 +466,14 @@ def _demo_theorem1(cfg: SolverConfig, seed: int) -> list[dict]:
     local2 = random_instrument(2, 2, 2, 2, rng)
     i1, i2, giant = compat.parallel_composition(broadcast, local1, local2)
     split = (local1.out_dim, local2.out_dim)
-    first = compat.marginal_instrument(giant, split, keep="first")
-    second = compat.marginal_instrument(giant, split, keep="second")
-    residual_first = max(
-        max(
-            np.linalg.norm(e1 - e2)
-            for e1, e2 in zip(
-                induced_observable(first).effects, induced_observable(i1).effects
-            )
-        ),
-        np.linalg.norm(total_channel(first).choi - total_channel(i2).choi),
-    )
-    residual_second = max(
-        max(
-            np.linalg.norm(e1 - e2)
-            for e1, e2 in zip(
-                induced_observable(second).effects, induced_observable(i2).effects
-            )
-        ),
-        np.linalg.norm(total_channel(second).choi - total_channel(i1).choi),
-    )
-    checks.append(_identity_entry("marginal-keeps-first-outcome", float(residual_first), 1e-9))
-    checks.append(_identity_entry("marginal-keeps-second-outcome", float(residual_second), 1e-9))
+    for keep, own, other in (("first", i1, i2), ("second", i2, i1)):
+        reduced = compat.marginal_instrument(giant, split, keep=keep)
+        effects = zip(induced_observable(reduced).effects, induced_observable(own).effects)
+        residual = max(
+            max(np.linalg.norm(e1 - e2) for e1, e2 in effects),
+            np.linalg.norm(total_channel(reduced).choi - total_channel(other).choi),
+        )
+        checks.append(_identity_entry(f"marginal-keeps-{keep}-outcome", float(residual), 1e-9))
     return checks
 
 

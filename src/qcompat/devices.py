@@ -21,8 +21,7 @@ truth.  Outcome labels are strings, and the composite outcome of a pair
 (x, y) serializes as "x⊗y".
 
 All device objects are immutable after construction (arrays are frozen) and
-validated against their defining constraints unless ``validate=False`` is
-passed, which is intended for solver-internal intermediates only.
+validated against their defining constraints.
 """
 
 from __future__ import annotations
@@ -70,12 +69,6 @@ def split_composite(label: str) -> tuple[str, str]:
 
 def _default_labels(n: int) -> tuple[str, ...]:
     return tuple(str(i) for i in range(n))
-
-
-def _require_finite(m: np.ndarray, invariant: str, what: str) -> None:
-    # NaN fails every comparison, so it would slip through the checks below.
-    if not np.all(np.isfinite(m)):
-        raise InvariantViolation(invariant, f"{what} has non-finite entries")
 
 
 def _frozen(m: np.ndarray) -> np.ndarray:
@@ -198,6 +191,96 @@ def choi_tensor(
 # ---------------------------------------------------------------------------
 
 
+# Per kind: the noun for one matrix, whether the matrices carry outcome
+# labels (a channel's one matrix does not), the Hermiticity tolerance, and
+# the invariants checked per matrix (shape, finite, Hermitian, PSD) and on
+# the sum.
+_KINDS = {
+    "observable": (
+        "effect", True, linalg.TOL_HERM, "observable.effect_shape", "observable.effect_finite",
+        "observable.effect_hermitian", "observable.effect_psd",
+        "observable.effects_sum_to_identity",
+    ),
+    "channel": (
+        "Choi matrix", False, 1e-9, "channel.shape", "channel.finite",
+        "channel.choi_hermitian", "channel.choi_psd", "channel.trace_preserving",
+    ),
+    "instrument": (
+        "branch", True, 1e-9, "instrument.branch_shape", "instrument.branch_finite",
+        "instrument.branch_hermitian", "instrument.branch_psd",
+        "instrument.total_trace_preserving",
+    ),
+}
+
+
+def _validate(
+    kind: str,
+    matrices: tuple[np.ndarray, ...],
+    outcomes: Sequence[str] | None,
+    in_dim: int,
+    out_dim: int,
+    tol_psd: float,
+    tol_feas: float,
+) -> tuple[str, ...]:
+    """Check a device as an instrument with Choi matrices ``matrices`` and
+    return its outcome labels; raise :class:`InvariantViolation` naming the
+    first violated invariant.
+
+    The order is: the outcome labels (none, count mismatch, duplicates);
+    each matrix for shape, finite entries, Hermitian, PSD; trace
+    preservation of the summed matrices.  An observable is the out_dim = 1
+    case: its effects A(x) stand in for their Choi matrices A(x)^T, which
+    have the same shape, spectrum and sum.  A channel is the one-outcome
+    case.
+    """
+    noun, labelled, tol_herm, shape_inv, finite_inv, herm_inv, psd_inv, total_inv = _KINDS[kind]
+    labels: tuple[str, ...] = ()
+    if labelled:
+        if not matrices:
+            raise InvariantViolation(f"{kind}.outcomes", f"at least one {noun} required")
+        labels = (
+            tuple(str(o) for o in outcomes)
+            if outcomes is not None
+            else _default_labels(len(matrices))
+        )
+        if len(labels) != len(matrices):
+            raise InvariantViolation(
+                f"{kind}.outcomes", f"{len(labels)} labels for {len(matrices)} matrices"
+            )
+        if len(set(labels)) != len(labels):
+            raise InvariantViolation(f"{kind}.outcomes", "duplicate outcome labels")
+
+    def what(k: int) -> str:
+        return f"{noun} {labels[k]!r}" if labels else noun
+
+    d = in_dim * out_dim
+    for k, m in enumerate(matrices):
+        if m.shape != (d, d):
+            raise InvariantViolation(shape_inv, f"{what(k)} has shape {m.shape}, expected ({d}, {d})")
+        # NaN fails every comparison, so it would slip through the checks below.
+        if not np.all(np.isfinite(m)):
+            raise InvariantViolation(finite_inv, f"{what(k)} has non-finite entries")
+        try:
+            herm = as_hermitian(m, tol_herm)
+        except linalg.NotHermitian as exc:
+            raise InvariantViolation(herm_inv, f"{what(k)}: {exc}") from exc
+        lo = float(np.linalg.eigvalsh(herm)[0])
+        if lo < -tol_psd:
+            raise InvariantViolation(
+                psd_inv, f"{what(k)} has eigenvalue {lo:.3e} below -{tol_psd:.1e}"
+            )
+
+    total = sum(matrices)
+    if out_dim > 1:  # with out_dim = 1 the sum is its own partial trace
+        total = np.trace(total.reshape(in_dim, out_dim, in_dim, out_dim), axis1=1, axis2=3)
+    dev = np.linalg.norm(total - np.eye(in_dim))
+    if dev > tol_feas:
+        raise InvariantViolation(
+            total_inv, f"output partial trace of the sum deviates from the identity by {dev:.3e}"
+        )
+    return labels
+
+
 class Observable:
     """Finite-outcome POVM: PSD effects summing to the identity.
 
@@ -209,56 +292,14 @@ class Observable:
         effects: Iterable[np.ndarray],
         outcomes: Sequence[str] | None = None,
         *,
-        validate: bool = True,
         tol_psd: float = TOL_PSD,
         tol_feas: float = TOL_FEAS,
     ):
-        effects = tuple(_frozen(e) for e in effects)
-        if not effects:
-            raise InvariantViolation("observable.outcomes", "at least one effect required")
-        d = effects[0].shape[0]
-        self.in_dim = d
-        self.effects = effects
-        self.outcomes = (
-            tuple(str(o) for o in outcomes) if outcomes is not None else _default_labels(len(effects))
+        self.effects = tuple(_frozen(e) for e in effects)
+        self.in_dim = self.effects[0].shape[0] if self.effects else 0
+        self.outcomes = _validate(
+            "observable", self.effects, outcomes, self.in_dim, 1, tol_psd, tol_feas
         )
-        if len(self.outcomes) != len(effects):
-            raise InvariantViolation(
-                "observable.outcomes",
-                f"{len(self.outcomes)} labels for {len(effects)} effects",
-            )
-        if len(set(self.outcomes)) != len(self.outcomes):
-            raise InvariantViolation("observable.outcomes", "duplicate outcome labels")
-        if validate:
-            self._validate(tol_psd, tol_feas)
-
-    def _validate(self, tol_psd: float, tol_feas: float) -> None:
-        for label, e in zip(self.outcomes, self.effects):
-            if e.shape != (self.in_dim, self.in_dim):
-                raise InvariantViolation(
-                    "observable.effect_shape",
-                    f"effect {label!r} has shape {e.shape}, expected ({self.in_dim}, {self.in_dim})",
-                )
-            _require_finite(e, "observable.effect_finite", f"effect {label!r}")
-            try:
-                as_hermitian(e)
-            except linalg.NotHermitian as exc:
-                raise InvariantViolation(
-                    "observable.effect_hermitian", f"effect {label!r}: {exc}"
-                ) from exc
-            lo = linalg.min_eigval(e)
-            if lo < -tol_psd:
-                raise InvariantViolation(
-                    "observable.effect_psd",
-                    f"effect {label!r} has eigenvalue {lo:.3e} below -{tol_psd:.1e}",
-                )
-        total = sum(self.effects)
-        dev = np.linalg.norm(total - np.eye(self.in_dim))
-        if dev > tol_feas:
-            raise InvariantViolation(
-                "observable.effects_sum_to_identity",
-                f"deviation {dev:.3e} exceeds {tol_feas:.1e}",
-            )
 
     @property
     def n_outcomes(self) -> int:
@@ -281,7 +322,6 @@ class QuantumChannel:
         out_dim: int,
         kraus: Sequence[np.ndarray] | None = None,
         *,
-        validate: bool = True,
         tol_psd: float = TOL_PSD,
         tol_feas: float = TOL_FEAS,
     ):
@@ -289,61 +329,34 @@ class QuantumChannel:
         self.out_dim = int(out_dim)
         self.choi = _frozen(choi)
         self.kraus = tuple(_frozen(k) for k in kraus) if kraus is not None else None
-        if validate:
-            self._validate(tol_psd, tol_feas)
-
-    def _validate(self, tol_psd: float, tol_feas: float) -> None:
-        d = self.in_dim * self.out_dim
-        if self.choi.shape != (d, d):
-            raise InvariantViolation(
-                "channel.shape",
-                f"Choi matrix has shape {self.choi.shape}, expected ({d}, {d})",
-            )
-        for m in (self.choi, *(self.kraus or ())):
-            _require_finite(m, "channel.finite", "channel matrix")
-        try:
-            as_hermitian(self.choi, tol=1e-9)
-        except linalg.NotHermitian as exc:
-            raise InvariantViolation("channel.choi_hermitian", str(exc)) from exc
-        lo = linalg.min_eigval(self.choi)
-        if lo < -tol_psd:
-            raise InvariantViolation(
-                "channel.choi_psd",
-                f"Choi matrix has eigenvalue {lo:.3e} below -{tol_psd:.1e}",
-            )
-        marginal = linalg.partial_trace(self.choi, (self.in_dim, self.out_dim), {1})
-        dev = np.linalg.norm(marginal - np.eye(self.in_dim))
+        _validate("channel", (self.choi,), None, self.in_dim, self.out_dim, tol_psd, tol_feas)
+        if self.kraus is None:
+            return
+        if not all(np.all(np.isfinite(k)) for k in self.kraus):
+            raise InvariantViolation("channel.finite", "Kraus operators have non-finite entries")
+        dev = np.linalg.norm(sum(k.conj().T @ k for k in self.kraus) - np.eye(self.in_dim))
         if dev > tol_feas:
             raise InvariantViolation(
-                "channel.trace_preserving",
-                f"output partial trace deviates from identity by {dev:.3e}",
+                "channel.kraus_completeness", f"sum K†K deviates from identity by {dev:.3e}"
             )
-        if self.kraus is not None:
-            total = sum(k.conj().T @ k for k in self.kraus)
-            dev = np.linalg.norm(total - np.eye(self.in_dim))
-            if dev > tol_feas:
-                raise InvariantViolation(
-                    "channel.kraus_completeness",
-                    f"sum K†K deviates from identity by {dev:.3e}",
-                )
-            dev = np.linalg.norm(kraus_to_choi(self.kraus) - self.choi)
-            if dev > tol_feas:
-                raise InvariantViolation(
-                    "channel.kraus_choi_consistency",
-                    f"Kraus list and Choi matrix disagree by {dev:.3e}",
-                )
+        dev = np.linalg.norm(kraus_to_choi(self.kraus) - self.choi)
+        if dev > tol_feas:
+            raise InvariantViolation(
+                "channel.kraus_choi_consistency",
+                f"Kraus list and Choi matrix disagree by {dev:.3e}",
+            )
 
     @classmethod
-    def from_kraus(cls, kraus: Sequence[np.ndarray], **kwargs) -> "QuantumChannel":
+    def from_kraus(cls, kraus: Sequence[np.ndarray]) -> "QuantumChannel":
         kraus = [np.asarray(k, dtype=complex) for k in kraus]
         out_dim, in_dim = kraus[0].shape
-        return cls(kraus_to_choi(kraus), in_dim, out_dim, kraus=kraus, **kwargs)
+        return cls(kraus_to_choi(kraus), in_dim, out_dim, kraus=kraus)
 
     @classmethod
     def from_map(
-        cls, apply_map: Callable[[np.ndarray], np.ndarray], in_dim: int, out_dim: int, **kwargs
+        cls, apply_map: Callable[[np.ndarray], np.ndarray], in_dim: int, out_dim: int
     ) -> "QuantumChannel":
-        return cls(choi_of_map(apply_map, in_dim, out_dim), in_dim, out_dim, **kwargs)
+        return cls(choi_of_map(apply_map, in_dim, out_dim), in_dim, out_dim)
 
     @classmethod
     def identity(cls, dim: int) -> "QuantumChannel":
@@ -382,59 +395,15 @@ class Instrument:
         out_dim: int,
         outcomes: Sequence[str] | None = None,
         *,
-        validate: bool = True,
         tol_psd: float = TOL_PSD,
         tol_feas: float = TOL_FEAS,
     ):
         self.in_dim = int(in_dim)
         self.out_dim = int(out_dim)
         self.branches = tuple(_frozen(b) for b in branches)
-        if not self.branches:
-            raise InvariantViolation("instrument.outcomes", "at least one branch required")
-        self.outcomes = (
-            tuple(str(o) for o in outcomes)
-            if outcomes is not None
-            else _default_labels(len(self.branches))
+        self.outcomes = _validate(
+            "instrument", self.branches, outcomes, self.in_dim, self.out_dim, tol_psd, tol_feas
         )
-        if len(self.outcomes) != len(self.branches):
-            raise InvariantViolation(
-                "instrument.outcomes",
-                f"{len(self.outcomes)} labels for {len(self.branches)} branches",
-            )
-        if len(set(self.outcomes)) != len(self.outcomes):
-            raise InvariantViolation("instrument.outcomes", "duplicate outcome labels")
-        if validate:
-            self._validate(tol_psd, tol_feas)
-
-    def _validate(self, tol_psd: float, tol_feas: float) -> None:
-        d = self.in_dim * self.out_dim
-        for label, b in zip(self.outcomes, self.branches):
-            if b.shape != (d, d):
-                raise InvariantViolation(
-                    "instrument.branch_shape",
-                    f"branch {label!r} has shape {b.shape}, expected ({d}, {d})",
-                )
-            _require_finite(b, "instrument.branch_finite", f"branch {label!r}")
-            try:
-                as_hermitian(b, tol=1e-9)
-            except linalg.NotHermitian as exc:
-                raise InvariantViolation(
-                    "instrument.branch_hermitian", f"branch {label!r}: {exc}"
-                ) from exc
-            lo = linalg.min_eigval(b)
-            if lo < -tol_psd:
-                raise InvariantViolation(
-                    "instrument.branch_psd",
-                    f"branch {label!r} has eigenvalue {lo:.3e} below -{tol_psd:.1e}",
-                )
-        total = sum(self.branches)
-        marginal = linalg.partial_trace(total, (self.in_dim, self.out_dim), {1})
-        dev = np.linalg.norm(marginal - np.eye(self.in_dim))
-        if dev > tol_feas:
-            raise InvariantViolation(
-                "instrument.total_trace_preserving",
-                f"summed branches deviate from a channel by {dev:.3e}",
-            )
 
     @property
     def n_outcomes(self) -> int:
@@ -487,15 +456,13 @@ def total_channel(inst: Instrument, **kwargs) -> QuantumChannel:
     return QuantumChannel(sum(inst.branches), inst.in_dim, inst.out_dim, **kwargs)
 
 
-def luders_instrument(a: Observable, **kwargs) -> Instrument:
+def luders_instrument(a: Observable) -> Instrument:
     """Instrument with branches rho -> sqrt(A(x)) rho sqrt(A(x))."""
     branches = [kraus_to_choi([linalg.psd_sqrt(e, tol=1e-9)]) for e in a.effects]
-    return Instrument(branches, a.in_dim, a.in_dim, a.outcomes, **kwargs)
+    return Instrument(branches, a.in_dim, a.in_dim, a.outcomes)
 
 
-def compose_instrument_channel(
-    post: Instrument, pre_channel: QuantumChannel, **kwargs
-) -> Instrument:
+def compose_instrument_channel(post: Instrument, pre_channel: QuantumChannel) -> Instrument:
     """Instrument that first applies ``pre_channel``, then runs ``post``."""
     if post.in_dim != pre_channel.out_dim:
         raise DimMismatch(
@@ -511,4 +478,4 @@ def compose_instrument_channel(
         )
         for b in post.branches
     ]
-    return Instrument(branches, pre_channel.in_dim, post.out_dim, post.outcomes, **kwargs)
+    return Instrument(branches, pre_channel.in_dim, post.out_dim, post.outcomes)

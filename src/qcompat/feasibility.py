@@ -38,7 +38,9 @@ sweep's cone projection.
 
 The affine set is the least-squares one, A X = P t with P the projection
 onto range(A), so ``project`` is exact for any t.  A system whose misfit
-‖t - P t‖ is within ``tol_feas`` is solved as it stands.
+‖t - P t‖ is within ``tol_feas`` is solved as it stands, and its FEASIBLE
+verdict reports as ``residual_affine`` the witness's misfit ‖A X - t‖
+against the targets, not its distance to the least-squares set.
 
 Infeasibility is certified, not guessed.  For multipliers λ (one Hermitian
 matrix per equation) and W = A†λ, every PSD X with A X = t satisfies
@@ -218,8 +220,9 @@ class AffineConstraintSet:
     :func:`_gram_pinv`, shared by all grids of one layout.  ``rank`` counts
     the independent real equations, n1·o1² + (n2-1)·o2² + rank(K);
     ``total_size`` the real coordinates n1·n2·D²; ``inconsistency`` the
-    misfit ‖t - P t‖.  ``certificate`` and ``misfit_certificate`` try Farkas
-    certificates on a cone-side iterate and on the misfit.
+    misfit ‖t - P t‖, and ``target_residual`` a stack's ‖A X - t‖.
+    ``certificate`` and ``misfit_certificate`` try Farkas certificates on a
+    cone-side iterate and on the misfit.
     """
 
     def __init__(self, grid: ConstraintBuilder, rhs: np.ndarray):
@@ -263,9 +266,6 @@ class AffineConstraintSet:
         two columns of one real matmul."""
         return (self._gram_pinv @ r.view(float).reshape(-1, 2)).view(complex)[:, 0]
 
-    def _correction(self, x: np.ndarray) -> np.ndarray:
-        return self._adjoint(self._gram_solve(self._apply(x) - self._rhs))
-
     def certificate(self, y: np.ndarray) -> Certificate | None:
         """The Farkas certificate λ = G⁺(A y - t) read off a cone-side
         iterate ``y`` (see the module docstring), or None when its bound
@@ -289,13 +289,13 @@ class AffineConstraintSet:
         multipliers = [*lam[: self._cut].reshape(n1, o1, o1), *lam[self._cut :].reshape(n2, o2, o2)]
         return Certificate([(m + m.conj().T) / 2 for m in multipliers], value, min_eig)
 
-    def residual(self, x: np.ndarray) -> float:
-        """Distance from ``x`` to the affine set."""
-        return float(np.linalg.norm(self._correction(x)))
+    def target_residual(self, x: np.ndarray) -> float:
+        """‖A x - t‖: how far ``x`` misses the targets themselves."""
+        return float(np.linalg.norm(self._apply(x) - self._rhs))
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """The exact projection onto the least-squares affine set."""
-        return x - self._correction(x)
+        return x - self._adjoint(self._gram_solve(self._apply(x) - self._rhs))
 
 
 @dataclass(frozen=True)
@@ -417,7 +417,9 @@ def _alternate(
         if gap <= cfg.tol_feas:
             neg = _min_eig(x)
             log()
-            return verdict(Status.FEASIBLE, _blocks(y), psd=max(0.0, -_min_eig(y)))
+            return verdict(
+                Status.FEASIBLE, _blocks(y), affine=cs.target_residual(y), psd=max(0.0, -_min_eig(y))
+            )
         if (it == 1 or it % _CHECK_EVERY == 0) and (cert := cs.certificate(y)) is not None:
             neg = _min_eig(x)
             log()
@@ -426,7 +428,7 @@ def _alternate(
         neg = float(w[:, 0].min())
         log()
         if neg >= -TOL_PSD:
-            return verdict(Status.FEASIBLE, _blocks(x), affine=cs.residual(x))
+            return verdict(Status.FEASIBLE, _blocks(x), affine=cs.target_residual(x))
     return verdict(Status.UNDECIDED)
 
 
@@ -436,9 +438,9 @@ ROBUSTNESS_PRECISION = 1e-3
 def robustness_bisect(
     problem_family: Callable[[float], AffineConstraintSet],
     cfg: SolverConfig | None = None,
-    precision: float = ROBUSTNESS_PRECISION,
 ) -> float:
-    """Smallest noise level t in [0, 1] at which the family turns feasible.
+    """Smallest noise level t in [0, 1] at which the family turns feasible,
+    to within ``ROBUSTNESS_PRECISION``.
 
     ``problem_family(t)`` must be monotone: feasible at t implies feasible at
     every larger t, with t=1 (fully noisy devices) feasible.  Returns 0.0
@@ -452,7 +454,7 @@ def robustness_bisect(
     if dykstra_solve(problem_family(0.0), cfg).status is Status.FEASIBLE:
         return 0.0
     lo, hi = 0.0, 1.0
-    while hi - lo > precision:
+    while hi - lo > ROBUSTNESS_PRECISION:
         mid = 0.5 * (lo + hi)
         if dykstra_solve(problem_family(mid), cfg).status is Status.FEASIBLE:
             hi = mid

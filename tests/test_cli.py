@@ -1,4 +1,3 @@
-import inspect
 import json
 import subprocess
 import sys
@@ -350,8 +349,7 @@ class TestRobustness:
             ],
             capsys,
         )
-        used = inspect.signature(feasibility.robustness_bisect).parameters["precision"].default
-        assert report["precision"] == used == feasibility.ROBUSTNESS_PRECISION
+        assert report["precision"] == feasibility.ROBUSTNESS_PRECISION
         exact = 1 - 1 / np.sqrt(2)
         assert exact <= report["robustness"] <= exact + report["precision"]
 

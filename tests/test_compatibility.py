@@ -305,6 +305,19 @@ class TestNearlyEqualTargets:
             assert report.status is Status.FEASIBLE
             assert max(_grid_residuals(grid, report.joint_device.branches)) <= 1e-8
 
+    def test_residual_affine_is_measured_against_the_targets(self):
+        # The witness solves the least-squares set exactly, but misses the
+        # targets by the system's misfit, and residual_affine must show that.
+        ident = QuantumChannel.identity(2).choi
+        near = (1 - 1e-9) * ident + 1e-9 * np.eye(4) / 2
+        i1 = Instrument([ident / 2, ident / 2], 2, 2)
+        i2 = Instrument([near / 2, near / 2], 2, 2)
+        report = check_traditional(i1, i2)
+        grid = NOTIONS["traditional"].grid(i1, i2)
+        worst = max(_grid_residuals(grid, report.joint_device.branches))
+        assert worst > 1e-10
+        assert report.verdict.residual_affine >= worst
+
     def test_sharp_z_with_a_perturbed_effect(self, sharp_z):
         effects = [sharp_z.effects[0] + np.diag([6.4e-10, 0.0]), sharp_z.effects[1]]
         perturbed = Observable(effects, sharp_z.outcomes)

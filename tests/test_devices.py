@@ -319,13 +319,64 @@ class TestValidation:
             Instrument([up, down], 2, 2)
         assert err.value.invariant == "instrument.branch_psd"
 
-    def test_unchecked_constructor_skips_validation(self):
-        obs = Observable([EYE2, EYE2], validate=False)
-        assert obs.n_outcomes == 2
-
     def test_arrays_frozen(self, sharp_z):
         with pytest.raises(ValueError):
             sharp_z.effects[0][0, 0] = 9.0
+
+
+# One input per invariant of each kind, and inputs with two faults, with the
+# invariant that must be reported first.
+_UP = np.diag([1.0, 0, 0, 0.0])
+_SKEW = np.array([[0.0, 1e-10], [0.0, 0.0]])  # Hermiticity deviation 1e-10
+_SKEW4 = np.pad(_SKEW, (0, 2))
+_NAN = np.diag([np.nan, 0.5])
+_INVARIANT_CASES = [
+    ("observable.outcomes", lambda: Observable([])),
+    ("observable.outcomes", lambda: Observable([EYE2 / 2, EYE2 / 2], ["a"])),
+    ("observable.outcomes", lambda: Observable([EYE2 / 2, EYE2 / 2], ["a", "a"])),
+    ("observable.effect_shape", lambda: Observable([EYE2 / 2, np.eye(3) / 2])),
+    ("observable.effect_finite", lambda: Observable([_NAN, EYE2 - _NAN])),
+    # Observables keep the strict TOL_HERM; the other kinds allow 1e-9.
+    ("observable.effect_hermitian", lambda: Observable([EYE2 / 2 + _SKEW, EYE2 / 2 - _SKEW])),
+    ("observable.effect_psd", lambda: Observable([1.5 * EYE2, -0.5 * EYE2])),
+    ("observable.effects_sum_to_identity", lambda: Observable([EYE2 / 2, EYE2 / 3])),
+    ("channel.shape", lambda: QuantumChannel(EYE2, 2, 2)),
+    ("channel.finite", lambda: QuantumChannel(np.diag([np.nan, 1, 1, 1.0]), 2, 2)),
+    ("channel.finite", lambda: QuantumChannel(IDENT_CHOI, 2, 2, kraus=[_NAN])),
+    ("channel.choi_hermitian", lambda: QuantumChannel(IDENT_CHOI + 1e3 * _SKEW4, 2, 2)),
+    ("channel.choi_psd", lambda: QuantumChannel(np.diag([2.0, -1.0, 1.0, 1.0]), 2, 2)),
+    ("channel.trace_preserving", lambda: QuantumChannel(IDENT_CHOI / 2, 2, 2)),
+    ("channel.kraus_completeness", lambda: QuantumChannel(IDENT_CHOI, 2, 2, kraus=[2 * EYE2])),
+    ("channel.kraus_choi_consistency", lambda: QuantumChannel(IDENT_CHOI, 2, 2, kraus=[PAULI_X])),
+    ("instrument.outcomes", lambda: Instrument([], 2, 2)),
+    ("instrument.outcomes", lambda: Instrument([IDENT_CHOI / 2] * 2, 2, 2, ["a"])),
+    ("instrument.outcomes", lambda: Instrument([IDENT_CHOI / 2] * 2, 2, 2, ["a", "a"])),
+    ("instrument.branch_shape", lambda: Instrument([IDENT_CHOI, EYE2], 2, 2)),
+    ("instrument.branch_finite", lambda: Instrument([IDENT_CHOI, np.pad(_NAN, (0, 2))], 2, 2)),
+    ("instrument.branch_hermitian", lambda: Instrument([IDENT_CHOI, 1e3 * _SKEW4], 2, 2)),
+    ("instrument.branch_psd", lambda: Instrument([1.5 * _UP, IDENT_CHOI - 1.5 * _UP], 2, 2)),
+    ("instrument.total_trace_preserving", lambda: Instrument([IDENT_CHOI / 2, IDENT_CHOI / 4], 2, 2)),
+    # Two faults: labels before matrices, Hermitian before PSD, every
+    # matrix before the sum.
+    ("observable.outcomes", lambda: Observable([1.5 * EYE2, -0.5 * EYE2], ["a", "a"])),
+    ("observable.effect_hermitian", lambda: Observable([-EYE2 + _SKEW, EYE2])),
+    ("instrument.branch_psd", lambda: Instrument([-_UP, IDENT_CHOI / 4], 2, 2)),
+]
+
+
+@pytest.mark.parametrize(
+    "invariant, build", _INVARIANT_CASES, ids=[f"{i}-{n}" for n, (i, _) in enumerate(_INVARIANT_CASES)]
+)
+def test_each_invariant_is_reported(invariant, build):
+    with pytest.raises(InvariantViolation) as err:
+        build()
+    assert err.value.invariant == invariant
+
+
+def test_hermiticity_tolerance_of_channels_and_instruments():
+    # The 1e-10 deviation that an observable rejects passes elsewhere.
+    QuantumChannel(IDENT_CHOI + _SKEW4, 2, 2)
+    Instrument([IDENT_CHOI / 2 + _SKEW4, IDENT_CHOI / 2 - _SKEW4], 2, 2)
 
 
 def test_composite_label_round_trip():

@@ -83,7 +83,7 @@ class TestProjectAffine:
         cs = _constraints("obs-obs", a, b)
         point = np.array([random_hermitian(2, rng) for _ in range(4)])
         projected = cs.project(point)
-        assert cs.residual(projected) <= 1e-10
+        assert np.linalg.norm(cs.project(projected) - projected) <= 1e-10
         grid = NOTIONS["obs-obs"].grid(a, b)
         assert max(_grid_residuals(grid, projected)) <= 1e-10
 
@@ -94,7 +94,7 @@ class TestProjectAffine:
         # project is the Moore-Penrose projection onto tr X = 1.5.
         projected = cs.project(np.zeros((1, 2, 2)))
         assert np.allclose(projected, 0.75 * np.eye(2))
-        assert cs.residual(projected) <= 1e-12
+        assert np.linalg.norm(cs.project(projected) - projected) <= 1e-12
 
     def test_inconsistent_reported_infeasible(self):
         grid = _inconsistent_traces()

@@ -21,6 +21,21 @@ def test_make_fixtures_reproduces_shipped_files(fixtures_dir, tmp_path, capsys):
         assert (tmp_path / name).read_bytes() == (fixtures_dir / name).read_bytes(), name
 
 
+def test_prop1_and_the_fixtures_need_no_solve(tmp_path, monkeypatch, capsys):
+    # The prop1 broadcast is built in closed form, so neither the scenario
+    # nor the fixture script runs the solver.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solver ran")
+
+    monkeypatch.setattr(compatibility, "dykstra_solve", no_solve)
+    sc = compatibility.gen_parallel_only_pair(seed=7)
+    assert sc.extras["broadcast"].kraus is not None
+    main = runpy.run_path(str(SCRIPT))["main"]
+    main.__globals__["FIXTURES"] = tmp_path
+    main()
+    assert (tmp_path / "prop1_giant.json").exists()
+
+
 def _load_perfbench(name, monkeypatch):
     spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
