@@ -12,10 +12,7 @@ from .devices import (
     InvariantViolation,
     Observable,
     QuantumChannel,
-    apply_channel,
-    choi_of_map,
     compose_instrument_channel,
-    dual_apply,
     induced_observable,
     luders_instrument,
     total_channel,
@@ -43,7 +40,6 @@ __all__ = [
     "QuantumChannel",
     "SolverConfig",
     "Status",
-    "apply_channel",
     "check_chan_chan",
     "check_obs_chan",
     "check_obs_obs",
@@ -51,9 +47,7 @@ __all__ = [
     "check_redefined",
     "check_traditional",
     "check_weak",
-    "choi_of_map",
     "compose_instrument_channel",
-    "dual_apply",
     "dykstra_solve",
     "induced_observable",
     "luders_instrument",

@@ -29,7 +29,8 @@ and ``report_out``; entries run one after another, in order, and per-check
 reports are written atomically.  An entry that is not an object with a
 string ``notion``, a list ``devices`` and string paths gets an error report
 of its own.  The batch exits with the
-worst code of its entries.
+worst code of its entries.  ``--batch`` together with a notion, device
+files or ``--witness-out`` is an input error (exit 3).
 
 The solver flags are ``--tol-feas``, ``--max-iter`` and ``--trace-log``.
 ``--trace-log`` appends one line per solver sweep: sweep number, the gap
@@ -190,6 +191,10 @@ def _run_one_check(
 def _cmd_check(args: argparse.Namespace, command: list[str]) -> tuple[dict, int]:
     cfg = _solver_config(args)
     if args.batch:
+        if args.notion is not None or args.devices or args.witness_out:
+            raise CliInputError(
+                "--batch runs the manifest alone: give no notion, device files or --witness-out"
+            )
         return _cmd_check_batch(args, cfg, command)
     if args.notion is None or len(args.devices) == 0:
         raise CliInputError("check needs a notion and device files (or --batch)")
@@ -364,10 +369,8 @@ def _demo_prop2(cfg: SolverConfig, seed: int) -> list[dict]:
 def _demo_prop1(cfg: SolverConfig, seed: int) -> list[dict]:
     sc = compat.gen_parallel_only_pair(seed=seed)
     checks = _scenario_checks(sc, cfg, ["weak", "traditional", "parallel"])
-    giant = sc.extras["giant"]
-    residual = max(
-        compat._parallel_marginal_residuals(giant, sc.first, sc.second)
-    )
+    grid = compat.NOTIONS["parallel"].grid(sc.first, sc.second)
+    residual = max(compat._grid_residuals(grid, sc.extras["giant"].branches))
     checks.append(_identity_entry("constructive-witness-marginals", residual, 1e-6))
     return checks
 
@@ -378,11 +381,11 @@ def _demo_example1(cfg: SolverConfig, seed: int) -> list[dict]:
 
     # Exactly solvable instance: attach a maximally mixed ancilla, then run
     # equal-weight identity branches on both legs.
-    eye2 = np.eye(2)
-    attach_mixed = QuantumChannel.from_map(lambda rho: np.kron(rho, eye2 / 2), 2, 4)
-    half_id = Instrument([QuantumChannel.identity(2).choi / 2] * 2, 2, 2)
+    ident = QuantumChannel.identity(2).choi
+    attach_mixed = QuantumChannel(np.kron(ident, np.eye(2) / 2), 2, 4)
+    half_id = Instrument([ident / 2] * 2, 2, 2)
     i1, i2, giant = compat.parallel_composition(attach_mixed, half_id, half_id)
-    residual = max(compat._parallel_marginal_residuals(giant, i1, i2))
+    residual = max(compat._grid_residuals(compat.NOTIONS["parallel"].grid(i1, i2), giant.branches))
     checks.append(_identity_entry("mixed-ancilla-witness-marginals", residual, 1e-12))
 
     # Generic instance: random broadcast channel, random local instruments.
@@ -390,7 +393,7 @@ def _demo_example1(cfg: SolverConfig, seed: int) -> list[dict]:
     local1 = random_instrument(2, 2, 2, 1, rng)
     local2 = random_instrument(2, 2, 2, 1, rng)
     i1, i2, giant = compat.parallel_composition(broadcast, local1, local2)
-    residual = max(compat._parallel_marginal_residuals(giant, i1, i2))
+    residual = max(compat._grid_residuals(compat.NOTIONS["parallel"].grid(i1, i2), giant.branches))
     checks.append(_identity_entry("constructive-witness-marginals", residual, 1e-9))
     checks.append(
         _expect_entry(

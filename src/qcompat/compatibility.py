@@ -211,12 +211,6 @@ def _constraints(notion: str, first, second) -> AffineConstraintSet:
     return NOTIONS[notion].grid(first, second).build()
 
 
-def _parallel_marginal_residuals(
-    giant: Instrument, i1: Instrument, i2: Instrument
-) -> list[float]:
-    return _grid_residuals(NOTIONS[NOTION_PARALLEL].grid(i1, i2), giant.branches)
-
-
 # ---------------------------------------------------------------------------
 # Observable / channel compatibility
 # ---------------------------------------------------------------------------
@@ -258,14 +252,8 @@ def check_weak(
     cfg = _cfg(cfg)
     diff = float(np.linalg.norm(sum(i1.branches) - sum(i2.branches)))
     feasible = diff <= cfg.tol_feas
-    verdict = FeasibilityVerdict(
-        status=Status.FEASIBLE if feasible else Status.INFEASIBLE,
-        witness=None,
-        residual_affine=diff,
-        residual_psd=0.0,
-        gap_estimate=0.0 if feasible else diff,
-        iterations=0,
-    )
+    status = Status.FEASIBLE if feasible else Status.INFEASIBLE
+    verdict = FeasibilityVerdict(status, None, diff, gap_estimate=0.0 if feasible else diff)
     report = CompatReport(NOTION_WEAK, verdict)
     report.notes.append(f"total-channel difference {diff:.2e}")
     if feasible:
@@ -286,14 +274,7 @@ def check_traditional(
     _require_same_input(i1, i2)
     cfg = _cfg(cfg)
     if i1.out_dim != i2.out_dim:
-        verdict = FeasibilityVerdict(
-            status=Status.INFEASIBLE,
-            witness=None,
-            residual_affine=np.inf,
-            residual_psd=0.0,
-            gap_estimate=np.inf,
-            iterations=0,
-        )
+        verdict = FeasibilityVerdict(Status.INFEASIBLE, None, np.inf, gap_estimate=np.inf)
         return CompatReport(NOTION_TRADITIONAL, verdict, notes=["output spaces differ"])
 
     weak = check_weak(i1, i2, cfg)
@@ -383,22 +364,6 @@ def parallel_composition(
             labels.append(composite_label(x, y))
     giant = Instrument(branches, h, k1 * k2, labels)
     return i1, i2, giant
-
-
-def observable_marginal(joint: Observable, side: str, **kwargs) -> Observable:
-    """Sum a composite-outcome observable over the other outcome index."""
-    if side not in ("first", "second"):
-        raise ValueError("side must be 'first' or 'second'")
-    pick = 0 if side == "first" else 1
-    groups: dict[str, np.ndarray] = {}
-    order: list[str] = []
-    for label, e in zip(joint.outcomes, joint.effects):
-        key = split_composite(label)[pick]
-        if key not in groups:
-            groups[key] = np.zeros_like(e)
-            order.append(key)
-        groups[key] = groups[key] + e
-    return Observable([groups[k] for k in order], order, **kwargs)
 
 
 def marginal_instrument(

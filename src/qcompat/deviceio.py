@@ -18,9 +18,10 @@ Matrix entries are explicit [re, im] pairs, row-major, so fixtures stay
 bit-exact and language neutral.  Observables use ``representation:
 "effects"`` with matrices named by outcome; channels use ``"kraus"``
 (matrices ``K0``, ``K1``, ...) or ``"choi"`` (single matrix ``choi``);
-instruments use ``"choi"`` with one branch matrix per outcome.  Dimensions
-are positive integers, outcomes a list of strings, and an observable's
-``in_dim`` is the dimension of its effects.
+instruments use ``"choi"`` with one branch matrix per outcome.  The
+matrices of an observable or instrument are named by exactly its outcomes.
+Dimensions are positive integers, outcomes a list of strings, and an
+observable's ``in_dim`` is the dimension of its effects.
 
 Loading validates the device and fails by naming the first violated
 invariant.
@@ -196,6 +197,9 @@ def _checked_labels(outcomes: list[str], matrices: dict) -> list[str]:
         raise InvariantViolation(
             "file.matrices", f"no matrix for outcome(s) {missing}"
         )
+    extra = [name for name in matrices if name not in outcomes]
+    if extra:
+        raise InvariantViolation("file.matrices", f"matrices {extra} name no outcome")
     return outcomes
 
 

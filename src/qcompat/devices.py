@@ -26,13 +26,12 @@ validated against their defining constraints.
 
 from __future__ import annotations
 
-import warnings
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import linalg
-from .linalg import NonLinearityDetected, ShapeMismatch, as_hermitian, hermitian_part
+from .linalg import as_hermitian, hermitian_part
 
 TOL_PSD = 1e-9
 TOL_FEAS = 1e-9
@@ -80,63 +79,6 @@ def _frozen(m: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Choi-matrix primitives
 # ---------------------------------------------------------------------------
-
-
-def choi_of_map(
-    apply_map: Callable[[np.ndarray], np.ndarray],
-    in_dim: int,
-    out_dim: int,
-    check_tol: float = 1e-8,
-) -> np.ndarray:
-    """Choi matrix of a linear map given as a matrix-in/matrix-out callback.
-
-    Sweeps the matrix units e_ij; a deterministic superposition check rejects
-    callbacks that are not linear.
-    """
-    j = np.zeros((in_dim * out_dim, in_dim * out_dim), dtype=complex)
-    jt = j.reshape(in_dim, out_dim, in_dim, out_dim)
-    unit = np.zeros((in_dim, in_dim), dtype=complex)
-    for i in range(in_dim):
-        for k in range(in_dim):
-            unit[i, k] = 1.0
-            image = np.asarray(apply_map(unit), dtype=complex)
-            if image.shape != (out_dim, out_dim):
-                raise ShapeMismatch(
-                    f"callback returned shape {image.shape}, expected ({out_dim}, {out_dim})"
-                )
-            jt[i, :, k, :] = image
-            unit[i, k] = 0.0
-
-    rng = np.random.default_rng(6174)
-    a = rng.normal(size=(in_dim, in_dim)) + 1j * rng.normal(size=(in_dim, in_dim))
-    b = rng.normal(size=(in_dim, in_dim)) + 1j * rng.normal(size=(in_dim, in_dim))
-    direct = np.asarray(apply_map(a + 0.5 * b), dtype=complex)
-    via_choi = apply_choi(j, a, in_dim, out_dim) + 0.5 * apply_choi(j, b, in_dim, out_dim)
-    scale = 1.0 + np.linalg.norm(direct)
-    if np.linalg.norm(direct - via_choi) > check_tol * scale:
-        raise NonLinearityDetected("callback failed the superposition linearity check")
-    return j
-
-
-def apply_choi(choi: np.ndarray, rho: np.ndarray, in_dim: int, out_dim: int) -> np.ndarray:
-    """Apply the map encoded by ``choi`` to ``rho``: tr_in[(rho^T (x) I) J]."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (in_dim, in_dim):
-        raise DimMismatch(f"state has shape {rho.shape}, channel input dim is {in_dim}")
-    jt = np.asarray(choi, dtype=complex).reshape(in_dim, out_dim, in_dim, out_dim)
-    return np.einsum("ij,iajb->ab", rho, jt)
-
-
-def dual_apply(choi: np.ndarray, x: np.ndarray, in_dim: int, out_dim: int) -> np.ndarray:
-    """Heisenberg-picture dual of the map encoded by ``choi`` applied to ``x``.
-
-    Satisfies tr[Phi(rho) X] = tr[rho Phi*(X)] for every rho, X.
-    """
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (out_dim, out_dim):
-        raise DimMismatch(f"operator has shape {x.shape}, channel output dim is {out_dim}")
-    jt = np.asarray(choi, dtype=complex).reshape(in_dim, out_dim, in_dim, out_dim)
-    return np.einsum("iajb,ba->ji", jt, x)
 
 
 def kraus_to_choi(kraus: Sequence[np.ndarray]) -> np.ndarray:
@@ -296,17 +238,11 @@ class Observable:
         tol_feas: float = TOL_FEAS,
     ):
         self.effects = tuple(_frozen(e) for e in effects)
-        self.in_dim = self.effects[0].shape[0] if self.effects else 0
+        shape = self.effects[0].shape if self.effects else ()
+        self.in_dim = shape[0] if shape else 0  # a 0-d effect fails the shape check
         self.outcomes = _validate(
             "observable", self.effects, outcomes, self.in_dim, 1, tol_psd, tol_feas
         )
-
-    @property
-    def n_outcomes(self) -> int:
-        return len(self.outcomes)
-
-    def effect(self, label: str) -> np.ndarray:
-        return self.effects[self.outcomes.index(label)]
 
     def __repr__(self) -> str:
         return f"Observable(in_dim={self.in_dim}, outcomes={self.outcomes})"
@@ -353,12 +289,6 @@ class QuantumChannel:
         return cls(kraus_to_choi(kraus), in_dim, out_dim, kraus=kraus)
 
     @classmethod
-    def from_map(
-        cls, apply_map: Callable[[np.ndarray], np.ndarray], in_dim: int, out_dim: int
-    ) -> "QuantumChannel":
-        return cls(choi_of_map(apply_map, in_dim, out_dim), in_dim, out_dim)
-
-    @classmethod
     def identity(cls, dim: int) -> "QuantumChannel":
         return cls.from_kraus([np.eye(dim)])
 
@@ -370,12 +300,6 @@ class QuantumChannel:
     @classmethod
     def unitary(cls, u: np.ndarray) -> "QuantumChannel":
         return cls.from_kraus([np.asarray(u, dtype=complex)])
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        return apply_channel(self, rho)
-
-    def dual(self, x: np.ndarray) -> np.ndarray:
-        return dual_apply(self.choi, x, self.in_dim, self.out_dim)
 
     def __repr__(self) -> str:
         return f"QuantumChannel(in_dim={self.in_dim}, out_dim={self.out_dim})"
@@ -405,15 +329,8 @@ class Instrument:
             "instrument", self.branches, outcomes, self.in_dim, self.out_dim, tol_psd, tol_feas
         )
 
-    @property
-    def n_outcomes(self) -> int:
-        return len(self.outcomes)
-
     def branch(self, label: str) -> np.ndarray:
         return self.branches[self.outcomes.index(label)]
-
-    def apply_branch(self, label: str, rho: np.ndarray) -> np.ndarray:
-        return apply_choi(self.branch(label), rho, self.in_dim, self.out_dim)
 
     def __repr__(self) -> str:
         return (
@@ -427,27 +344,11 @@ class Instrument:
 # ---------------------------------------------------------------------------
 
 
-def apply_channel(c: QuantumChannel, rho: np.ndarray) -> np.ndarray:
-    """Schrödinger-picture action of a channel on a state."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (c.in_dim, c.in_dim):
-        raise DimMismatch(f"state has shape {rho.shape}, channel input dim is {c.in_dim}")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > 1e-8:
-        warnings.warn(
-            f"apply_channel called on input with trace {tr:.6g}; "
-            "extending by linearity",
-            stacklevel=2,
-        )
-    return apply_choi(c.choi, rho, c.in_dim, c.out_dim)
-
-
 def induced_observable(inst: Instrument, **kwargs) -> Observable:
-    """Observable measured by an instrument: effect(x) = branch_x*(I)."""
-    eye = np.eye(inst.out_dim, dtype=complex)
-    effects = [
-        hermitian_part(dual_apply(b, eye, inst.in_dim, inst.out_dim)) for b in inst.branches
-    ]
+    """Observable measured by an instrument: effect(x) = branch_x*(I), the
+    transposed output partial trace of the branch's Choi matrix."""
+    shape = (inst.in_dim, inst.out_dim)
+    effects = [hermitian_part(linalg.partial_trace(b, shape, {1}).T) for b in inst.branches]
     return Observable(effects, inst.outcomes, **kwargs)
 
 

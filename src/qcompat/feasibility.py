@@ -128,9 +128,9 @@ class FeasibilityVerdict:
     status: Status
     witness: list[np.ndarray] | None
     residual_affine: float
-    residual_psd: float
-    gap_estimate: float
-    iterations: int
+    residual_psd: float = 0.0
+    gap_estimate: float = 0.0
+    iterations: int = 0
     certificate: Certificate | None = None
 
 
@@ -445,8 +445,10 @@ def robustness_bisect(
     ``problem_family(t)`` must be monotone: feasible at t implies feasible at
     every larger t, with t=1 (fully noisy devices) feasible.  Returns 0.0
     when the noiseless problem is already feasible.  Undecided probes are
-    treated as not-feasible, which can only bias the answer upward, by less
-    than the bisection precision.
+    treated as not-feasible, which can only bias the answer upward, but not
+    only by the bisection precision: an undecided probe at a ``mid`` above
+    the true threshold sets ``lo = mid``, so the bias can be as large as
+    ``mid`` minus the threshold.
     """
     cfg = cfg or SolverConfig()
     if dykstra_solve(problem_family(1.0), cfg).status is not Status.FEASIBLE:

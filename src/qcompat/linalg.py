@@ -30,10 +30,6 @@ class NotHermitian(ValueError):
     """Matrix fails the Hermiticity tolerance."""
 
 
-class NonLinearityDetected(ValueError):
-    """A callback advertised as linear failed a superposition check."""
-
-
 def hermitian_part(m: np.ndarray) -> np.ndarray:
     """Return (m + m†)/2."""
     m = np.asarray(m, dtype=complex)
@@ -117,31 +113,13 @@ def reorder_factors(
     return t.reshape(m.shape)
 
 
-def eigh(m: np.ndarray, tol: float = TOL_HERM) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix: m = V diag(w) V†.
-
-    Eigenvalues ascending; columns of V are the eigenvectors.
-    """
-    m = as_hermitian(m, tol)
-    w, v = np.linalg.eigh(m)
-    return w, v
-
-
 def min_eigval(m: np.ndarray) -> float:
     """Smallest eigenvalue of the Hermitian part of ``m``."""
     return float(np.linalg.eigvalsh(hermitian_part(m))[0])
 
 
-def project_psd(m: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
-    """Frobenius-nearest positive semidefinite matrix: clip negative
-    eigenvalues to zero and reconstruct.  Idempotent."""
-    w, v = eigh(m, tol)
-    w = np.maximum(w, 0.0)
-    return hermitian_part((v * w) @ v.conj().T)
-
-
 def psd_sqrt(m: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
     """Principal square root of a PSD matrix (negative drift clipped)."""
-    w, v = eigh(m, tol)
+    w, v = np.linalg.eigh(as_hermitian(m, tol))
     w = np.sqrt(np.maximum(w, 0.0))
     return hermitian_part((v * w) @ v.conj().T)

@@ -1,8 +1,8 @@
-"""Seeded random device generation for tests and scenario defaults.
+"""Seeded random device generation for scenarios and the benchmark.
 
 Unitaries are Haar distributed (QR of a complex Ginibre matrix with phase
 correction); channels and instruments come from Haar-random isometries cut
-into Kraus blocks, observables from Gram-normalized random PSD operators.
+into Kraus blocks, sharp observables from Haar-random bases.
 """
 
 from __future__ import annotations
@@ -16,12 +16,6 @@ def _ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     return (rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))) / np.sqrt(2)
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    q, r = np.linalg.qr(_ginibre(dim, dim, rng))
-    phases = np.diag(r) / np.abs(np.diag(r))
-    return q * phases.conj()
-
-
 def haar_isometry(out_dim: int, in_dim: int, rng: np.random.Generator) -> np.ndarray:
     """Random isometry V (out_dim x in_dim, out_dim >= in_dim) with V†V = I."""
     if out_dim < in_dim:
@@ -31,22 +25,8 @@ def haar_isometry(out_dim: int, in_dim: int, rng: np.random.Generator) -> np.nda
     return q * phases.conj()
 
 
-def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = _ginibre(dim, dim, rng)
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
-
-
-def random_observable(dim: int, n_outcomes: int, rng: np.random.Generator) -> Observable:
-    """POVM from random PSD operators, normalized by S^{-1/2} . S^{-1/2}."""
-    raw = []
-    for _ in range(n_outcomes):
-        g = _ginibre(dim, dim, rng)
-        raw.append(g @ g.conj().T)
-    total = sum(raw)
-    w, v = np.linalg.eigh(total)
-    inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
-    return Observable([inv_sqrt @ e @ inv_sqrt for e in raw])
+def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    return haar_isometry(dim, dim, rng)
 
 
 def random_sharp_observable(dim: int, rng: np.random.Generator) -> Observable:

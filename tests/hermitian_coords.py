@@ -18,11 +18,15 @@ from typing import Callable
 
 import numpy as np
 
-from qcompat.linalg import TOL_HERM, NonLinearityDetected, ShapeMismatch, as_hermitian
+from qcompat.linalg import TOL_HERM, ShapeMismatch, as_hermitian
 
 
 class LengthMismatch(ValueError):
     """Coordinate vector length is not a perfect square."""
+
+
+class NonLinearityDetected(ValueError):
+    """A callback advertised as linear failed a superposition check."""
 
 
 def herm_to_vec(m: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:

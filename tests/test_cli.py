@@ -7,10 +7,9 @@ import pytest
 
 from qcompat import cli, compatibility, feasibility
 from qcompat.cli import EXIT_BY_STATUS, main
-from qcompat.deviceio import load_device, save_device
-from qcompat.devices import Instrument, induced_observable, total_channel
+from qcompat.deviceio import load_device
+from qcompat.devices import Instrument
 from qcompat.feasibility import Certificate, FeasibilityVerdict, Status
-from qcompat.sampling import random_instrument
 
 from conftest import FIXTURES_DIR
 
@@ -323,6 +322,24 @@ class TestMalformedBatchEntry:
         code, report = run_cli(["check", "--batch", str(manifest)], capsys)
         assert code == 3
         assert report["status"] == "error"
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["obs-obs"], ["obs-obs", "sharp_x.json", "sharp_z.json"], ["--witness-out", "w.json"]],
+    ids=["notion", "devices", "witness-out"],
+)
+def test_batch_with_a_positional_check_is_input_error(extra, fixtures_dir, tmp_path, capsys):
+    # The manifest would run alone, silently dropping the rest of the command.
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"checks": [TestMalformedBatchEntry.WEAK]}))
+    paths = {"sharp_x.json": fixtures_dir, "sharp_z.json": fixtures_dir, "w.json": tmp_path}
+    extra = [str(paths[a] / a) if a in paths else a for a in extra]
+    code, report = run_cli(["check", *extra, "--batch", str(manifest)], capsys)
+    assert code == 3
+    assert report["status"] == "error"
+    assert "--batch" in report["error"]
+    assert not (tmp_path / "w.json").exists()
 
 
 class TestRobustness:

@@ -8,7 +8,6 @@ from qcompat import compatibility
 from qcompat.compatibility import (
     NOTIONS,
     BadDistribution,
-    Scenario,
     SolverError,
     check_chan_chan,
     check_obs_chan,
@@ -26,10 +25,8 @@ from qcompat.compatibility import (
     mix_channel,
     mix_instrument,
     mix_observable,
-    observable_marginal,
     parallel_composition,
     _grid_residuals,
-    _parallel_marginal_residuals,
 )
 from qcompat.deviceio import load_device
 from qcompat.devices import (
@@ -43,11 +40,19 @@ from qcompat.devices import (
     split_composite,
     total_channel,
 )
-from qcompat.feasibility import SolverConfig, Status
+from qcompat.feasibility import Status
 from qcompat.linalg import partial_trace
-from qcompat.sampling import random_channel, random_instrument, random_observable
+from qcompat.sampling import random_channel, random_instrument
 
-from conftest import EYE2, PAULI_X, PAULI_Z, busch_compatible, noisy_pauli
+from conftest import (
+    EYE2,
+    PAULI_X,
+    PAULI_Z,
+    busch_compatible,
+    grid_misfit,
+    noisy_pauli,
+    random_observable,
+)
 
 
 class TestObsObs:
@@ -56,8 +61,9 @@ class TestObsObs:
         assert report.status is Status.FEASIBLE
         joint = report.joint_device
         p0 = np.diag([1.0, 0.0])
-        assert np.linalg.norm(joint.effect(composite_label("+", "+")) - p0) <= 1e-6
-        assert np.linalg.norm(joint.effect(composite_label("+", "-"))) <= 1e-6
+        effect = dict(zip(joint.outcomes, joint.effects))
+        assert np.linalg.norm(effect[composite_label("+", "+")] - p0) <= 1e-6
+        assert np.linalg.norm(effect[composite_label("+", "-")]) <= 1e-6
 
     def test_sharp_x_vs_z(self, sharp_x, sharp_z):
         assert not busch_compatible(1.0, 1.0)
@@ -71,10 +77,7 @@ class TestObsObs:
         report = check_obs_obs(trivial, other)
         assert report.status is Status.FEASIBLE
         # Witness marginals reproduce the inputs.
-        joint = report.joint_device
-        for y in other.outcomes:
-            col = sum(joint.effect(composite_label(x, y)) for x in trivial.outcomes)
-            assert np.linalg.norm(col - other.effect(y)) <= 1e-6
+        assert grid_misfit("obs-obs", trivial, other, report.joint_device.effects) <= 1e-6
 
     def test_dim_mismatch(self, sharp_z, rng):
         with pytest.raises(DimMismatch):
@@ -85,13 +88,7 @@ class TestObsObs:
         b = noisy_pauli(PAULI_Z, 0.6)
         report = check_obs_obs(a, b)
         assert report.status is Status.FEASIBLE
-        joint = report.joint_device
-        marg_a = observable_marginal(joint, "first")
-        marg_b = observable_marginal(joint, "second")
-        for got, want in zip(marg_a.effects, a.effects):
-            assert np.linalg.norm(got - want) <= 1e-6
-        for got, want in zip(marg_b.effects, b.effects):
-            assert np.linalg.norm(got - want) <= 1e-6
+        assert grid_misfit("obs-obs", a, b, report.joint_device.effects) <= 1e-6
 
 
 class TestObsChan:
@@ -198,7 +195,7 @@ class TestTraditional:
                 branches.append(inst.branches[i] if i == j else zero)
                 labels.append(composite_label(x, y))
         joint = Instrument(branches, 2, 2, labels)
-        n = inst.n_outcomes
+        n = len(inst.outcomes)
         for i in range(n):
             row = sum(branches[i * n + j] for j in range(n))
             assert np.linalg.norm(row - inst.branches[i]) <= 1e-12
@@ -226,10 +223,10 @@ class TestParallel:
             random_instrument(2, 2, 2, 1, rng),
             random_instrument(2, 2, 2, 1, rng),
         )
-        assert max(_parallel_marginal_residuals(giant, i1, i2)) <= 1e-12
+        assert grid_misfit("parallel", i1, i2, giant.branches) <= 1e-12
         report = check_parallel(i1, i2)
         assert report.status is Status.FEASIBLE
-        assert max(_parallel_marginal_residuals(report.joint_device, i1, i2)) <= 1e-6
+        assert grid_misfit("parallel", i1, i2, report.joint_device.branches) <= 1e-6
 
     def test_correlated_identity_weights_not_parallel(self):
         sc = gen_traditional_only_pair(np.array([[0.25, 0.25], [0.25, 0.25]]))
@@ -276,7 +273,7 @@ class TestWitnessTolerance:
         giant, report = giant_self_pair
         assert report.status is Status.FEASIBLE
         assert report.joint_device is not None
-        assert max(_parallel_marginal_residuals(report.joint_device, giant, giant)) <= 1e-6
+        assert grid_misfit("parallel", giant, giant, report.joint_device.branches) <= 1e-6
 
     def test_perturbed_witness_is_rejected(self, giant_self_pair, monkeypatch):
         giant, report = giant_self_pair
@@ -353,11 +350,11 @@ class TestRedefined:
 
 class TestParallelComposition:
     def test_exact_mixed_ancilla_case(self):
-        attach = QuantumChannel.from_map(lambda rho: np.kron(rho, EYE2 / 2), 2, 4)
         ident_choi = QuantumChannel.identity(2).choi
+        attach = QuantumChannel(np.kron(ident_choi, EYE2 / 2), 2, 4)
         halves = Instrument([ident_choi / 2, ident_choi / 2], 2, 2)
         i1, i2, giant = parallel_composition(attach, halves, halves)
-        assert max(_parallel_marginal_residuals(giant, i1, i2)) <= 1e-12
+        assert grid_misfit("parallel", i1, i2, giant.branches) <= 1e-12
         # First leg sees the state unchanged, second leg sees the ancilla.
         assert np.linalg.norm(sum(i1.branches) - ident_choi) <= 1e-12
         assert np.linalg.norm(
@@ -384,12 +381,7 @@ class TestJointObservableExtraction:
         joint = induced_observable(giant)
         a = induced_observable(i1)
         b = induced_observable(i2)
-        marg_a = observable_marginal(joint, "first")
-        marg_b = observable_marginal(joint, "second")
-        for got, want in zip(marg_a.effects, a.effects):
-            assert np.linalg.norm(got - want) <= 1e-10
-        for got, want in zip(marg_b.effects, b.effects):
-            assert np.linalg.norm(got - want) <= 1e-10
+        assert grid_misfit("obs-obs", a, b, joint.effects) <= 1e-10
 
     def test_single_branch_giant(self, rng):
         chan = random_channel(2, 4, 2, rng)
@@ -398,8 +390,8 @@ class TestJointObservableExtraction:
         assert np.linalg.norm(joint.effects[0] - EYE2) <= 1e-10
 
     def test_trivial_weights_giant(self):
-        attach = QuantumChannel.from_map(lambda rho: np.kron(rho, EYE2 / 2), 2, 4)
         ident_choi = QuantumChannel.identity(2).choi
+        attach = QuantumChannel(np.kron(ident_choi, EYE2 / 2), 2, 4)
         halves = Instrument([ident_choi / 2, ident_choi / 2], 2, 2)
         _, _, giant = parallel_composition(attach, halves, halves)
         joint = induced_observable(giant)
@@ -489,12 +481,7 @@ class TestTheorem1Item1:
         joint_obs = induced_observable(report.joint_device, tol_feas=1e-5, tol_psd=1e-6)
         a = induced_observable(i1)
         b = induced_observable(i2)
-        marg_a = observable_marginal(joint_obs, "first", tol_feas=1e-5, tol_psd=1e-6)
-        marg_b = observable_marginal(joint_obs, "second", tol_feas=1e-5, tol_psd=1e-6)
-        for got, want in zip(marg_a.effects, a.effects):
-            assert np.linalg.norm(got - want) <= 1e-6
-        for got, want in zip(marg_b.effects, b.effects):
-            assert np.linalg.norm(got - want) <= 1e-6
+        assert grid_misfit("obs-obs", a, b, joint_obs.effects) <= 1e-6
 
 
 def marginal_traditional(joint: Instrument, keep: str) -> Instrument:
@@ -586,7 +573,7 @@ class TestGenerators:
         sc = gen_parallel_only_pair(seed=7)
         assert check_weak(sc.first, sc.second).status is Status.INFEASIBLE
         giant = sc.extras["giant"]
-        assert max(_parallel_marginal_residuals(giant, sc.first, sc.second)) <= 1e-9
+        assert grid_misfit("parallel", sc.first, sc.second, giant.branches) <= 1e-9
 
     def test_parallel_only_pair_is_deterministic(self):
         sc1 = gen_parallel_only_pair(seed=7)

@@ -11,7 +11,9 @@ from qcompat.deviceio import (
     load_device,
     save_device,
 )
-from qcompat.sampling import random_channel, random_instrument, random_observable
+from qcompat.sampling import random_channel, random_instrument
+
+from conftest import random_observable
 
 
 def assert_same_matrices(first, second):
@@ -104,6 +106,19 @@ class TestLoadErrors:
         with pytest.raises(InvariantViolation) as err:
             device_from_json(doc)
         assert err.value.invariant == "file.matrices"
+
+    @pytest.mark.parametrize("kind", ["observable", "instrument"])
+    def test_matrix_for_no_outcome(self, kind, rng):
+        # An extra matrix must not be dropped without a word.
+        if kind == "observable":
+            doc = device_to_json(random_observable(2, 2, rng))
+        else:
+            doc = device_to_json(random_instrument(2, 2, 2, 1, rng))
+        doc["matrices"]["extra"] = doc["matrices"]["0"]
+        with pytest.raises(InvariantViolation) as err:
+            device_from_json(doc)
+        assert err.value.invariant == "file.matrices"
+        assert "extra" in str(err.value)
 
     def test_bad_matrix_encoding(self, rng):
         doc = device_to_json(random_observable(2, 2, rng))

@@ -7,29 +7,30 @@ from qcompat.devices import (
     InvariantViolation,
     Observable,
     QuantumChannel,
-    apply_channel,
-    apply_choi,
     choi_compose,
-    choi_of_map,
     choi_tensor,
     composite_label,
     compose_instrument_channel,
-    dual_apply,
     induced_observable,
     kraus_to_choi,
     luders_instrument,
     split_composite,
     total_channel,
 )
-from qcompat.linalg import NonLinearityDetected, psd_sqrt
-from qcompat.sampling import (
-    random_channel,
+from qcompat.linalg import partial_trace, psd_sqrt
+from qcompat.sampling import random_channel, random_instrument
+
+from conftest import (
+    EYE2,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    apply_choi,
+    dual_apply,
+    noisy_pauli,
     random_density,
-    random_instrument,
     random_observable,
 )
-
-from conftest import EYE2, PAULI_X, PAULI_Z, noisy_pauli
 
 OMEGA = np.zeros(4, dtype=complex)
 OMEGA[0] = OMEGA[3] = 1.0
@@ -38,71 +39,67 @@ IDENT_CHOI = np.outer(OMEGA, OMEGA.conj())
 
 class TestChoiOfMap:
     def test_identity_channel(self):
-        j = choi_of_map(lambda rho: rho, 2, 2)
+        j = QuantumChannel.identity(2).choi
         assert np.allclose(j, IDENT_CHOI)
         assert np.trace(j) == pytest.approx(2.0)
         assert np.linalg.matrix_rank(j, tol=1e-10) == 1
 
     def test_depolarizing(self):
         # Basis expansion: off-diagonal units have trace zero, so only the
-        # diagonal units contribute and the result is I/2 on each block.
-        j = choi_of_map(lambda rho: np.trace(rho) * EYE2 / 2, 2, 2)
+        # diagonal units contribute and the result is I/2 on each block.  The
+        # Pauli twirl rho -> sum_P P rho P / 4 is the same map.
+        j = kraus_to_choi([p / 2 for p in (EYE2, PAULI_X, PAULI_Y, PAULI_Z)])
         assert np.allclose(j, np.eye(4) / 2)
+        assert np.allclose(QuantumChannel.depolarizing(2).choi, j)
 
     def test_x_conjugation(self):
-        j = choi_of_map(lambda rho: PAULI_X @ rho @ PAULI_X, 2, 2)
+        j = QuantumChannel.unitary(PAULI_X).choi
         expected = np.zeros((4, 4), dtype=complex)
         expected[1:3, 1:3] = 1.0
         assert np.allclose(j, expected)
         assert np.linalg.matrix_rank(j, tol=1e-10) == 1
 
-    def test_rejects_nonlinear_callback(self):
-        with pytest.raises(NonLinearityDetected):
-            choi_of_map(lambda rho: rho + np.eye(2), 2, 2)
-
 
 class TestApplyAndDual:
+    """The Choi matrices the devices hold, applied with the reference
+    helpers of ``conftest``."""
+
     def test_identity_apply(self, rng):
         rho = random_density(2, rng)
         chan = QuantumChannel.identity(2)
-        assert np.allclose(chan.apply(rho), rho)
+        assert np.allclose(apply_choi(chan.choi, rho, 2, 2), rho)
 
     def test_depolarizing_apply(self, rng):
         rho = random_density(2, rng)
         chan = QuantumChannel.depolarizing(2)
-        assert np.allclose(chan.apply(rho), EYE2 / 2)
-
-    def test_apply_warns_off_trace(self):
-        chan = QuantumChannel.identity(2)
-        with pytest.warns(UserWarning):
-            apply_channel(chan, 2.0 * EYE2)
+        assert np.allclose(apply_choi(chan.choi, rho, 2, 2), EYE2 / 2)
 
     def test_choi_and_kraus_agree(self, rng):
         for _ in range(5):
             chan = random_channel(2, 3, 2, rng)
             rho = random_density(2, rng)
-            via_choi = chan.apply(rho)
+            via_choi = apply_choi(chan.choi, rho, 2, 3)
             via_kraus = sum(k @ rho @ k.conj().T for k in chan.kraus)
             assert np.linalg.norm(via_choi - via_kraus) <= 1e-10
 
     def test_dual_unitality(self, rng):
+        # Phi*(I) is the transposed output partial trace of the Choi matrix.
         for dims in [(2, 2), (2, 3), (3, 2)]:
             chan = random_channel(*dims, 2, rng)
-            assert np.linalg.norm(
-                chan.dual(np.eye(chan.out_dim)) - np.eye(chan.in_dim)
-            ) <= 1e-10
+            dual_of_eye = partial_trace(chan.choi, dims, {1}).T
+            assert np.linalg.norm(dual_of_eye - np.eye(chan.in_dim)) <= 1e-10
 
     def test_dual_of_identity_channel(self, rng):
         chan = QuantumChannel.identity(2)
         x = PAULI_X + 0.3 * PAULI_Z
-        assert np.allclose(chan.dual(x), x)
+        assert np.allclose(dual_apply(chan.choi, x, 2, 2), x)
 
     def test_dual_defining_identity(self, rng):
         for _ in range(5):
             chan = random_channel(2, 3, 2, rng)
             rho = random_density(2, rng)
             x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-            lhs = np.trace(chan.apply(rho) @ x)
+            lhs = np.trace(sum(k @ rho @ k.conj().T for k in chan.kraus) @ x)
             rhs = np.trace(rho @ dual_apply(chan.choi, x, 2, 3))
             assert abs(lhs - rhs) <= 1e-10
 
@@ -113,13 +110,6 @@ class TestApplyAndDual:
         for label, effect in zip(a.outcomes, a.effects):
             recovered = dual_apply(inst.branch(label), eye, 3, 3)
             assert np.linalg.norm(recovered - effect) <= 1e-10
-
-    def test_dim_mismatch(self):
-        chan = QuantumChannel.identity(2)
-        with pytest.raises(DimMismatch):
-            chan.apply(np.eye(3))
-        with pytest.raises(DimMismatch):
-            chan.dual(np.eye(3))
 
 
 class TestKrausChoi:
@@ -161,9 +151,9 @@ class TestInstrumentOps:
             inst = random_instrument(2, 3, 3, 2, rng)
             effects = induced_observable(inst)
             rho = random_density(2, rng)
-            for label in inst.outcomes:
-                p_branch = np.trace(inst.apply_branch(label, rho)).real
-                p_effect = np.trace(rho @ effects.effect(label)).real
+            for branch, effect in zip(inst.branches, effects.effects):
+                p_branch = np.trace(apply_choi(branch, rho, 2, 3)).real
+                p_effect = np.trace(rho @ effect).real
                 assert p_branch == pytest.approx(p_effect, abs=1e-10)
 
 
@@ -178,8 +168,8 @@ class TestLuders:
     def test_trivial_observable_halves_state(self, rng):
         inst = luders_instrument(Observable([EYE2 / 2, EYE2 / 2]))
         rho = random_density(2, rng)
-        for label in inst.outcomes:
-            assert np.allclose(inst.apply_branch(label, rho), rho / 2)
+        for branch in inst.branches:
+            assert np.allclose(apply_choi(branch, rho, 2, 2), rho / 2)
 
     def test_noisy_x_effects_recovered(self):
         a = noisy_pauli(PAULI_X, 0.7)
@@ -190,7 +180,8 @@ class TestLuders:
             root = psd_sqrt(effect)
             assert np.linalg.norm(inst.branch(label) - kraus_to_choi([root])) <= 1e-12
         recovered = induced_observable(inst)
-        assert np.linalg.norm(recovered.effect("+") - (EYE2 + 0.7 * PAULI_X) / 2) <= 1e-10
+        assert recovered.outcomes[0] == "+"
+        assert np.linalg.norm(recovered.effects[0] - (EYE2 + 0.7 * PAULI_X) / 2) <= 1e-10
 
 
 class TestCompose:
@@ -213,10 +204,10 @@ class TestCompose:
         pre = QuantumChannel.depolarizing(2)
         composed = compose_instrument_channel(post, pre)
         rho = random_density(2, rng)
-        for label in post.outcomes:
-            direct = composed.apply_branch(label, rho)
-            chained = post.apply_branch(label, pre.apply(rho))
-            assert np.linalg.norm(direct - chained) <= 1e-10
+        mid = apply_choi(pre.choi, rho, 2, 2)
+        for direct, after in zip(composed.branches, post.branches):
+            chained = apply_choi(after, mid, 2, 2)
+            assert np.linalg.norm(apply_choi(direct, rho, 2, 2) - chained) <= 1e-10
 
     def test_dim_mismatch(self, rng):
         post = random_instrument(3, 2, 2, 1, rng)
@@ -230,28 +221,26 @@ class TestCompose:
         rho1 = random_density(2, rng)
         rho2 = random_density(2, rng)
         out = apply_choi(j, np.kron(rho1, rho2), 4, 6)
-        assert np.linalg.norm(out - np.kron(c1.apply(rho1), c2.apply(rho2))) <= 1e-10
+        expected = np.kron(apply_choi(c1.choi, rho1, 2, 2), apply_choi(c2.choi, rho2, 2, 3))
+        assert np.linalg.norm(out - expected) <= 1e-10
 
     def test_choi_compose_matches_sequential_apply(self, rng):
         inner = random_channel(2, 3, 2, rng)
         outer = random_channel(3, 2, 2, rng)
         j = choi_compose(outer.choi, (3, 2), inner.choi, (2, 3))
         rho = random_density(2, rng)
-        assert np.linalg.norm(
-            apply_choi(j, rho, 2, 2) - outer.apply(inner.apply(rho))
-        ) <= 1e-10
+        chained = apply_choi(outer.choi, apply_choi(inner.choi, rho, 2, 3), 3, 2)
+        assert np.linalg.norm(apply_choi(j, rho, 2, 2) - chained) <= 1e-10
 
 
     def test_choi_compose_equals_probed_composition(self, rng):
-        # Reference: the Choi matrix probed from the sequential map.
+        # Reference: the Choi matrix of the products of the Kraus operators.
         for _ in range(10):
             inner = random_channel(2, 3, 2, rng)
             outer = random_channel(3, 2, 3, rng)
-            probed = choi_of_map(
-                lambda rho: apply_choi(outer.choi, apply_choi(inner.choi, rho, 2, 3), 3, 2), 2, 2
-            )
+            chained = kraus_to_choi([a @ b for a in outer.kraus for b in inner.kraus])
             j = choi_compose(outer.choi, (3, 2), inner.choi, (2, 3))
-            assert np.max(np.abs(j - probed)) <= 1e-12
+            assert np.max(np.abs(j - chained)) <= 1e-12
 
 
 class TestValidation:
@@ -361,6 +350,9 @@ _INVARIANT_CASES = [
     ("observable.outcomes", lambda: Observable([1.5 * EYE2, -0.5 * EYE2], ["a", "a"])),
     ("observable.effect_hermitian", lambda: Observable([-EYE2 + _SKEW, EYE2])),
     ("instrument.branch_psd", lambda: Instrument([-_UP, IDENT_CHOI / 4], 2, 2)),
+    # A 0-d effect is reported by shape, as a 0-d branch is.
+    ("observable.effect_shape", lambda: Observable([1.0])),
+    ("instrument.branch_shape", lambda: Instrument([1.0], 1, 1)),
 ]
 
 

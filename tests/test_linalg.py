@@ -1,22 +1,26 @@
 import numpy as np
 import pytest
 
-from qcompat import linalg
+from qcompat.feasibility import _psd_part
 from qcompat.linalg import (
     BadFactorIndex,
-    NonLinearityDetected,
     NotHermitian,
     ShapeMismatch,
     as_hermitian,
-    eigh,
     partial_trace,
-    project_psd,
+    psd_sqrt,
     reorder_factors,
     tensor,
 )
 
 from conftest import EYE2, PAULI_X, PAULI_Z, random_hermitian
-from hermitian_coords import LengthMismatch, herm_to_vec, linmap_matrix, vec_to_herm
+from hermitian_coords import (
+    LengthMismatch,
+    NonLinearityDetected,
+    herm_to_vec,
+    linmap_matrix,
+    vec_to_herm,
+)
 
 
 class TestTensor:
@@ -95,35 +99,37 @@ def test_reorder_factors_swaps_kron(rng):
 
 
 class TestEigh:
+    """``psd_sqrt`` is the one eigendecomposition left in ``linalg``."""
+
     def test_identity(self):
-        w, _ = eigh(EYE2)
-        assert np.allclose(w, [1.0, 1.0])
+        assert np.allclose(psd_sqrt(EYE2), EYE2)
 
     def test_pauli_z_spectrum(self):
-        w, _ = eigh(PAULI_Z)
-        assert np.allclose(w, [-1.0, 1.0])
+        # Eigenvalues -1 and +1: the negative one is clipped to zero.
+        assert np.allclose(psd_sqrt(PAULI_Z), np.diag([1.0, 0.0]))
 
     def test_pauli_x_eigenvectors(self):
-        # Characteristic polynomial gives eigenpairs -1: (|0>-|1>)/sqrt(2),
-        # +1: (|0>+|1>)/sqrt(2), up to phase.
-        w, v = eigh(PAULI_X)
-        assert np.allclose(w, [-1.0, 1.0])
-        minus = np.array([1, -1]) / np.sqrt(2)
-        plus = np.array([1, 1]) / np.sqrt(2)
-        assert abs(np.vdot(v[:, 0], minus)) == pytest.approx(1.0, abs=1e-12)
-        assert abs(np.vdot(v[:, 1], plus)) == pytest.approx(1.0, abs=1e-12)
+        # I + X = 2|+><+| with |+> = (|0>+|1>)/sqrt(2), so its root is
+        # sqrt(2)|+><+| = (I + X)/sqrt(2).
+        assert np.allclose(psd_sqrt(EYE2 + PAULI_X), (EYE2 + PAULI_X) / np.sqrt(2))
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
-            eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            psd_sqrt(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     @pytest.mark.parametrize("dim", [2, 5, 16])
     def test_reconstruction(self, dim, rng):
-        m = random_hermitian(dim, rng)
-        w, v = eigh(m)
-        err = np.linalg.norm((v * w) @ v.conj().T - m)
-        assert err <= 1e-10 * np.linalg.norm(m)
-        assert np.linalg.norm(v @ v.conj().T - np.eye(dim)) <= 1e-10
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        m = g @ g.conj().T
+        root = psd_sqrt(m, tol=1e-9)
+        assert np.linalg.norm(root - root.conj().T) == 0.0
+        assert np.linalg.eigvalsh(root)[0] >= -1e-10
+        assert np.linalg.norm(root @ root - m) <= 1e-10 * np.linalg.norm(m)
+
+
+def project_psd(m: np.ndarray) -> np.ndarray:
+    """The solver's cone projection on a single matrix."""
+    return _psd_part(*np.linalg.eigh(as_hermitian(m)[None]))[0]
 
 
 class TestProjectPsd:

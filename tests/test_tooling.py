@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import runpy
 import sys
@@ -82,3 +83,42 @@ def test_benchmark_trace_contract(sharp_x, sharp_z, fixtures_dir, monkeypatch):
     assert report.status is Status.FEASIBLE
     assert report.verdict.iterations > 1
 
+
+def _referenced_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Names, attributes and imported names used in ``tree`` outside ``skip``."""
+    names: set[str] = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_every_src_definition_is_used_by_program_code():
+    # Tests do not count: code that only tests reach belongs in tests/.  A
+    # module-level function or class must be referenced from another src/
+    # module, perfbench/ or scripts/, or from its own module outside its
+    # own definition (which covers private helpers).
+    src = sorted((ROOT / "src" / "qcompat").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in src}
+    outside = set()
+    for path in [*(ROOT / "perfbench").glob("*.py"), *(ROOT / "scripts").glob("*.py")]:
+        outside |= _referenced_names(ast.parse(path.read_text(encoding="utf-8")))
+    unused = []
+    for path, tree in trees.items():
+        if path.name == "__init__.py":
+            continue
+        used = outside.union(*(_referenced_names(t) for p, t in trees.items() if p != path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if node.name not in used | _referenced_names(tree, skip=node):
+                    unused.append(f"{path.name}:{node.name}")
+    assert unused == []
