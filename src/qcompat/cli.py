@@ -12,9 +12,10 @@ Every command prints one JSON report to stdout.  Exit codes: 0 the devices
 are compatible (or the demo reproduced all expected verdicts), 1 they are
 incompatible (or a demo verdict mismatched), 2 the solver could not decide,
 3 the input was malformed (the report names the violated invariant), 4 the
-solver's answer failed its own checks (status ``solver-error``: a feasible
-witness that is not a valid device or misses the marginals, or an
-infeasibility certificate that does not hold).
+solver failed (status ``solver-error``: an exception raised while deciding,
+a feasible witness that is not a valid device or misses the marginals, or an
+infeasibility certificate that does not hold).  Only the input stage, from
+parsing the arguments to checking the devices' kinds and dimensions, exits 3.
 
 A check report's ``certificate`` is ``{"value", "min_eig"}`` for an
 INFEASIBLE verdict the solver certified: Re⟨λ, t⟩ and the smallest
@@ -28,7 +29,7 @@ A batch manifest is a JSON object ``{"checks": [...]}`` where each entry has
 and ``report_out``; entries run one after another, in order, and per-check
 reports are written atomically.  An entry that is not an object with a
 string ``notion``, a list ``devices`` and string paths gets an error report
-of its own.  The batch exits with the
+of its own, as does an entry whose decision fails.  The batch exits with the
 worst code of its entries.  ``--batch`` together with a notion, device
 files or ``--witness-out`` is an input error (exit 3).
 
@@ -41,6 +42,7 @@ of the most negative eigenvalue of that affine projection (0 when none).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -78,12 +80,17 @@ EXIT_BY_STATUS = {
 }
 
 _CHECKS = {name: (notion.check, notion.kinds) for name, notion in compat.NOTIONS.items()}
-_FAMILIES = sorted(name for name, notion in compat.NOTIONS.items() if notion.mix)
+_FAMILIES = [compat.NOTION_CHAN_CHAN, compat.NOTION_OBS_OBS, compat.NOTION_PARALLEL]
 
 class CliInputError(Exception):
     def __init__(self, message: str, invariant: str | None = None):
         super().__init__(message)
         self.invariant = invariant
+
+
+# The input stage's errors (InvariantViolation, DimMismatch and a bad
+# SolverConfig are ValueErrors); a decision's reach main only as SolverError.
+_INPUT_ERRORS = (CliInputError, ValueError)
 
 
 def _finite(x: float | None) -> float | None:
@@ -119,6 +126,20 @@ def _load_typed(path: str, expected_kind: type, notion: str):
     return device
 
 
+@contextlib.contextmanager
+def _deciding():
+    """Around a decision: any exception raised in it is the solver's failure,
+    reported as ``solver-error``, except the input faults a decision finds,
+    devices of different dimensions and a robustness family that is not
+    feasible at full noise."""
+    try:
+        yield
+    except (DimMismatch, NotFeasibleAtOne, compat.SolverError):
+        raise
+    except Exception as exc:
+        raise compat.SolverError(f"decision failed: {type(exc).__name__}: {exc}") from exc
+
+
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
     kwargs = {}
     if getattr(args, "tol_feas", None) is not None:
@@ -126,6 +147,10 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
     if getattr(args, "max_iter", None) is not None:
         kwargs["max_iter"] = args.max_iter
     if getattr(args, "trace_log", None):
+        try:
+            open(args.trace_log, "a").close()
+        except OSError as exc:
+            raise CliInputError(f"cannot append to --trace-log {args.trace_log}: {exc}") from exc
         kwargs["trace_path"] = args.trace_log
     return SolverConfig(**kwargs)
 
@@ -165,7 +190,8 @@ def _run_one_check(
         _load_typed(path, kind, notion) for path, kind in zip(device_paths, kinds)
     ]
     started = time.perf_counter()
-    report = fn(*devices, cfg)
+    with _deciding():
+        report = fn(*devices, cfg)
     wall = time.perf_counter() - started
 
     doc = {
@@ -234,7 +260,7 @@ def _cmd_check_batch(
                 entry.get("witness_out"),
                 command,
             )
-        except (CliInputError, InvariantViolation, DimMismatch) as exc:
+        except _INPUT_ERRORS as exc:
             doc = _error_report(command, exc)
         except compat.SolverError as exc:
             doc = _error_report(command, exc, "solver-error")
@@ -270,10 +296,8 @@ def _cmd_robustness(args: argparse.Namespace, command: list[str]) -> tuple[dict,
     ]
     cfg = _solver_config(args)
     started = time.perf_counter()
-    try:
+    with _deciding():
         value = robustness_bisect(compat.family(args.notion, *devices), cfg)
-    except NotFeasibleAtOne as exc:
-        raise CliInputError(str(exc)) from exc
     doc = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "command": command,
@@ -341,15 +365,12 @@ def _expect_entry(name: str, notion: str, report, expected: Status) -> dict:
     }
 
 
+def _ok_entry(name: str, ok: bool, **compared) -> dict:
+    return {"name": name, "status": "ok" if ok else "mismatch", "expected": "ok", "ok": ok, **compared}
+
+
 def _identity_entry(name: str, residual: float, tol: float) -> dict:
-    return {
-        "name": name,
-        "status": "ok" if residual <= tol else "mismatch",
-        "expected": "ok",
-        "ok": bool(residual <= tol),
-        "residual": _finite(residual),
-        "tolerance": tol,
-    }
+    return _ok_entry(name, bool(residual <= tol), residual=_finite(residual), tolerance=tol)
 
 
 def _scenario_checks(sc: Scenario, cfg: SolverConfig, which: list[str]) -> list[dict]:
@@ -369,7 +390,7 @@ def _demo_prop2(cfg: SolverConfig, seed: int) -> list[dict]:
 def _demo_prop1(cfg: SolverConfig, seed: int) -> list[dict]:
     sc = compat.gen_parallel_only_pair(seed=seed)
     checks = _scenario_checks(sc, cfg, ["weak", "traditional", "parallel"])
-    grid = compat.NOTIONS["parallel"].grid(sc.first, sc.second)
+    grid = compat._parallel_grid(sc.first, sc.second)
     residual = max(compat._grid_residuals(grid, sc.extras["giant"].branches))
     checks.append(_identity_entry("constructive-witness-marginals", residual, 1e-6))
     return checks
@@ -385,7 +406,7 @@ def _demo_example1(cfg: SolverConfig, seed: int) -> list[dict]:
     attach_mixed = QuantumChannel(np.kron(ident, np.eye(2) / 2), 2, 4)
     half_id = Instrument([ident / 2] * 2, 2, 2)
     i1, i2, giant = compat.parallel_composition(attach_mixed, half_id, half_id)
-    residual = max(compat._grid_residuals(compat.NOTIONS["parallel"].grid(i1, i2), giant.branches))
+    residual = max(compat._grid_residuals(compat._parallel_grid(i1, i2), giant.branches))
     checks.append(_identity_entry("mixed-ancilla-witness-marginals", residual, 1e-12))
 
     # Generic instance: random broadcast channel, random local instruments.
@@ -393,7 +414,7 @@ def _demo_example1(cfg: SolverConfig, seed: int) -> list[dict]:
     local1 = random_instrument(2, 2, 2, 1, rng)
     local2 = random_instrument(2, 2, 2, 1, rng)
     i1, i2, giant = compat.parallel_composition(broadcast, local1, local2)
-    residual = max(compat._grid_residuals(compat.NOTIONS["parallel"].grid(i1, i2), giant.branches))
+    residual = max(compat._grid_residuals(compat._parallel_grid(i1, i2), giant.branches))
     checks.append(_identity_entry("constructive-witness-marginals", residual, 1e-9))
     checks.append(
         _expect_entry(
@@ -412,15 +433,7 @@ def _demo_example2(cfg: SolverConfig, seed: int) -> list[dict]:
         _expect_entry("redefined", "redefined", redefined, sc.expected["redefined"])
     )
     via_traditional = "traditional leg: feasible" in redefined.notes
-    checks.append(
-        {
-            "name": "redefined-via-traditional-leg",
-            "status": "ok" if via_traditional else "mismatch",
-            "expected": "ok",
-            "ok": via_traditional,
-            "notes": list(redefined.notes),
-        }
-    )
+    checks.append(_ok_entry("redefined-via-traditional-leg", via_traditional, notes=list(redefined.notes)))
     return checks
 
 
@@ -430,15 +443,14 @@ def _demo_theorem1(cfg: SolverConfig, seed: int) -> list[dict]:
 
     # Verdict agreement: broadcasting two channels is the same question as
     # implementing their single-outcome instruments side by side.
+    def noisy_channel(noise: float) -> QuantumChannel:
+        channel = random_channel(2, 2, int(rng.integers(1, 5)), rng)
+        return total_channel(compat.mix_instrument(channel, noise))
+
     pairs = [(QuantumChannel.identity(2), QuantumChannel.identity(2))]
     for _ in range(3):
         noise1, noise2 = rng.uniform(0, 0.8, size=2)
-        pairs.append(
-            (
-                compat.mix_channel(random_channel(2, 2, int(rng.integers(1, 5)), rng), noise1),
-                compat.mix_channel(random_channel(2, 2, int(rng.integers(1, 5)), rng), noise2),
-            )
-        )
+        pairs.append((noisy_channel(noise1), noisy_channel(noise2)))
     for k, (c1, c2) in enumerate(pairs):
         as_channels = compat.check_chan_chan(c1, c2, cfg)
         as_instruments = compat.check_parallel(
@@ -448,19 +460,13 @@ def _demo_theorem1(cfg: SolverConfig, seed: int) -> list[dict]:
         )
         decided = Status.UNDECIDED not in (as_channels.status, as_instruments.status)
         agree = decided and as_channels.status is as_instruments.status
-        checks.append(
-            {
-                "name": f"verdict-agreement-{k}",
-                "status": (
-                    "ok" if agree else
-                    ("undecided" if not decided else "mismatch")
-                ),
-                "expected": "ok",
-                "ok": agree,
-                "chan_chan": as_channels.status.value,
-                "parallel": as_instruments.status.value,
-            }
+        entry = _ok_entry(
+            f"verdict-agreement-{k}", agree,
+            chan_chan=as_channels.status.value, parallel=as_instruments.status.value,
         )
+        if not decided:
+            entry["status"] = "undecided"
+        checks.append(entry)
 
     # Outcome-marginal reductions of a constructive joint instrument measure
     # one side's observable while implementing the other side's channel.
@@ -497,8 +503,11 @@ def _cmd_demo(args: argparse.Namespace, command: list[str]) -> tuple[dict, int]:
     cfg = _solver_config(args)
     demo, default_seed = _DEMOS[args.name]
     seed = args.seed if args.seed is not None else default_seed
+    if seed < 0:
+        raise CliInputError(f"--seed must be non-negative, got {seed}")
     started = time.perf_counter()
-    checks = demo(cfg, seed)
+    with _deciding():
+        checks = demo(cfg, seed)
     if any(c["status"] == "undecided" for c in checks):
         status = "undecided"
     elif all(c["ok"] for c in checks):
@@ -591,7 +600,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         report, code = handlers[args.action](args, command)
-    except (CliInputError, InvariantViolation, DimMismatch, compat.BadDistribution, ValueError) as exc:
+    except _INPUT_ERRORS as exc:
         _emit(_error_report(command, exc))
         return EXIT_BY_STATUS["error"]
     except compat.SolverError as exc:

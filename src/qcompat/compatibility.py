@@ -1,10 +1,11 @@
 """Compatibility deciders for pairs of quantum devices.
 
 The paper calls two instruments compatible when they are traditionally OR
-parallelly compatible, and recovers the older notions as special cases: an
-observable is an instrument with a one-dimensional output (branch x has Choi
-matrix A(x)^T) and a channel is an instrument with a single outcome.  So every
-solver-backed notion here is one grid, stated as a
+parallelly compatible, and recovers the older notions as special cases: in
+the instrument view of :mod:`~qcompat.devices`, an observable has branches
+A(x)^T onto a one-dimensional output and a channel is the one-outcome
+instrument.  So obs-obs, obs-chan (channel first) and chan-chan are the
+``parallel`` grid of the two views.  Each solver-backed notion is one grid, a
 :class:`~qcompat.feasibility.ConstraintBuilder`: PSD blocks X_xy of factor
 shape ``shape`` with  sum_y R1(X_xy) = first[x]  and  sum_x R2(X_xy) =
 second[y],  where R1 (R2) is the identity or the partial trace over factor
@@ -13,17 +14,16 @@ second[y],  where R1 (R2) is the identity or the partial trace over factor
 ===========  =======  ===========  ==========================  ============================
 notion       n1 x n2  ``shape``    ``first``, ``trace_first``  ``second``, ``trace_second``
 ===========  =======  ===========  ==========================  ============================
-obs-obs      na x nb  (d,)         effects A_x, None           effects B_y, None
-obs-chan     1 x n    (d, k)       channel C, None             A_y^T, 1 (trace out k)
-chan-chan    1 x 1    (d, k1, k2)  channel C1, 2 (k2)          channel C2, 1 (k1)
 traditional  n1 x n2  (d, k)       branches of I1, None        branches of I2, None
 parallel     n1 x n2  (d, k1, k2)  I1 branches, 2 (k2)         I2 branches, 1 (k1)
 ===========  =======  ===========  ==========================  ============================
 
+A traced factor of dimension 1 (an observable's output) is written as None.
+
 ``weak`` compares total channels exactly, ``check_traditional`` runs it first
 (unequal totals rule out a common-output joint), and ``redefined`` is the
 disjunction traditional OR parallel.  :data:`NOTIONS` holds each notion's
-device kinds, grid, joint-device constructor and noise mixes.  A feasible
+device kinds, grid and joint-device constructor.  A feasible
 witness is rebuilt into the joint device and re-validated with
 :func:`linalg.partial_trace`, independently of the solver's constraint
 operator; a witness failing either step raises :class:`SolverError`.  An
@@ -205,6 +205,17 @@ def _decide(notion: str, first, second, cfg: SolverConfig | None) -> CompatRepor
         bound = _check_certificate(notion, grid, verdict.certificate)
         report.notes.append(f"certificate bound {bound:.2e}")
     return report
+
+
+def _parallel_grid(p, q) -> ConstraintBuilder:
+    """The parallel grid of two devices in their instrument view."""
+    return ConstraintBuilder(
+        (p.in_dim, p.out_dim, q.out_dim),
+        p.branches,
+        q.branches,
+        2 if q.out_dim > 1 else None,
+        1 if p.out_dim > 1 else None,
+    )
 
 
 def _constraints(notion: str, first, second) -> AffineConstraintSet:
@@ -408,23 +419,10 @@ def marginal_instrument(
 # ---------------------------------------------------------------------------
 
 
-def mix_observable(a: Observable, t: float) -> Observable:
-    """Mix every effect toward its trivial counterpart tr[A(x)] I / d."""
-    eye = np.eye(a.in_dim)
-    effects = [
-        (1 - t) * e + t * (np.real(np.trace(e)) / a.in_dim) * eye for e in a.effects
-    ]
-    return Observable(effects, a.outcomes)
-
-
-def mix_channel(c: QuantumChannel, t: float) -> QuantumChannel:
-    """Mix toward the constant channel rho -> I / out_dim."""
-    depol = np.eye(c.in_dim * c.out_dim) / c.out_dim
-    return QuantumChannel((1 - t) * c.choi + t * depol, c.in_dim, c.out_dim)
-
-
-def mix_instrument(i: Instrument, t: float) -> Instrument:
-    """Mix each branch toward (average weight) x constant channel."""
+def mix_instrument(i: Observable | QuantumChannel | Instrument, t: float) -> Instrument:
+    """Mix each branch of a device's instrument view toward (its average
+    weight) x the constant channel: an observable's effects toward
+    tr[A(x)] I / d, a channel toward rho -> I / out_dim."""
     depol = np.eye(i.in_dim * i.out_dim) / i.out_dim
     branches = []
     for b in i.branches:
@@ -434,9 +432,9 @@ def mix_instrument(i: Instrument, t: float) -> Instrument:
 
 
 def family(notion: str, first, second) -> Callable[[float], AffineConstraintSet]:
-    """Grid problems of ``notion`` with both devices mixed toward noise t."""
-    mix_first, mix_second = NOTIONS[notion].mix
-    return lambda t: _constraints(notion, mix_first(first, t), mix_second(second, t))
+    """Grid problems of ``notion`` with both devices mixed toward noise t by
+    :func:`mix_instrument`."""
+    return lambda t: _constraints(notion, mix_instrument(first, t), mix_instrument(second, t))
 
 
 def obs_obs_family(a: Observable, b: Observable) -> Callable[[float], AffineConstraintSet]:
@@ -456,20 +454,19 @@ def chan_chan_family(
 
 @dataclass(frozen=True)
 class Notion:
-    """How one notion is decided; see the table in the module docstring.
+    """How one notion is decided; see the module docstring.
 
-    ``grid(first, second)`` states the grid as a ``ConstraintBuilder`` and
-    ``joint(blocks, first, second, **tols)`` rebuilds the joint device from
-    a solver witness; both are None for the notions decided without a grid solve.
-    ``mix`` holds the noise mix ``(device, t) -> device`` of each device for
-    the notions with a robustness family.
+    ``grid(first, second)`` states the grid as a ``ConstraintBuilder``:
+    :func:`_parallel_grid` of the instrument views for every notion but
+    ``traditional``.  ``joint(blocks, first, second, **tols)`` rebuilds the
+    joint device from a solver witness.  Both are None for the notions
+    decided without a grid solve.
     """
 
     check: Callable[..., CompatReport]
     kinds: tuple[type, type]
     grid: Callable[..., ConstraintBuilder] | None = None
     joint: Callable[..., Observable | QuantumChannel | Instrument] | None = None
-    mix: tuple[Callable, Callable] | None = None
 
 
 def _pair_labels(first, second) -> list[str]:
@@ -477,32 +474,27 @@ def _pair_labels(first, second) -> list[str]:
 
 
 NOTIONS: dict[str, Notion] = {
+    # The grid holds the views' branches A(x)^T, so the joint effects are
+    # the transposed witness blocks.
     NOTION_OBS_OBS: Notion(
         check_obs_obs,
         (Observable, Observable),
-        grid=lambda a, b: ConstraintBuilder((a.in_dim,), a.effects, b.effects),
-        joint=lambda w, a, b, **tols: Observable(w, _pair_labels(a, b), **tols),
-        mix=(mix_observable, mix_observable),
+        grid=_parallel_grid,
+        joint=lambda w, a, b, **tols: Observable([m.T for m in w], _pair_labels(a, b), **tols),
     ),
-    # branch_y*(I) = A(y)  <=>  tr_out(branch Choi) = A(y)^T
     NOTION_OBS_CHAN: Notion(
         check_obs_chan,
         (Observable, QuantumChannel),
-        grid=lambda a, c: ConstraintBuilder(
-            (c.in_dim, c.out_dim), [c.choi], [e.T for e in a.effects], None, 1
-        ),
+        grid=lambda a, c: _parallel_grid(c, a),
         joint=lambda w, a, c, **tols: Instrument(w, c.in_dim, c.out_dim, a.outcomes, **tols),
     ),
     NOTION_CHAN_CHAN: Notion(
         check_chan_chan,
         (QuantumChannel, QuantumChannel),
-        grid=lambda c1, c2: ConstraintBuilder(
-            (c1.in_dim, c1.out_dim, c2.out_dim), [c1.choi], [c2.choi], 2, 1
-        ),
+        grid=_parallel_grid,
         joint=lambda w, c1, c2, **tols: QuantumChannel(
             w[0], c1.in_dim, c1.out_dim * c2.out_dim, **tols
         ),
-        mix=(mix_channel, mix_channel),
     ),
     NOTION_WEAK: Notion(check_weak, (Instrument, Instrument)),
     NOTION_TRADITIONAL: Notion(
@@ -518,13 +510,10 @@ NOTIONS: dict[str, Notion] = {
     NOTION_PARALLEL: Notion(
         check_parallel,
         (Instrument, Instrument),
-        grid=lambda i1, i2: ConstraintBuilder(
-            (i1.in_dim, i1.out_dim, i2.out_dim), i1.branches, i2.branches, 2, 1
-        ),
+        grid=_parallel_grid,
         joint=lambda w, i1, i2, **tols: Instrument(
             w, i1.in_dim, i1.out_dim * i2.out_dim, _pair_labels(i1, i2), **tols
         ),
-        mix=(mix_instrument, mix_instrument),
     ),
     NOTION_REDEFINED: Notion(check_redefined, (Instrument, Instrument)),
 }

@@ -17,9 +17,10 @@ One file holds one device:
 Matrix entries are explicit [re, im] pairs, row-major, so fixtures stay
 bit-exact and language neutral.  Observables use ``representation:
 "effects"`` with matrices named by outcome; channels use ``"kraus"``
-(matrices ``K0``, ``K1``, ...) or ``"choi"`` (single matrix ``choi``);
+(matrices ``K0``, ``K1``, ...) or ``"choi"`` (the one matrix ``choi``);
 instruments use ``"choi"`` with one branch matrix per outcome.  The
 matrices of an observable or instrument are named by exactly its outcomes.
+No object may repeat a key.
 Dimensions are positive integers, outcomes a list of strings, and an
 observable's ``in_dim`` is the dimension of its effects.
 
@@ -30,6 +31,7 @@ invariant.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 from typing import Any
 
@@ -71,45 +73,23 @@ def decode_matrix(data: Any, name: str, square: bool = True) -> np.ndarray:
 
 def device_to_json(dev: Device) -> dict:
     if isinstance(dev, Observable):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "observable",
-            "in_dim": dev.in_dim,
-            "outcomes": list(dev.outcomes),
-            "representation": "effects",
-            "matrices": {
-                label: encode_matrix(e) for label, e in zip(dev.outcomes, dev.effects)
-            },
-        }
-    if isinstance(dev, QuantumChannel):
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "channel",
-            "in_dim": dev.in_dim,
-            "out_dim": dev.out_dim,
-        }
-        if dev.kraus is not None:
-            doc["representation"] = "kraus"
-            doc["matrices"] = {
-                f"K{i}": encode_matrix(k) for i, k in enumerate(dev.kraus)
-            }
-        else:
-            doc["representation"] = "choi"
-            doc["matrices"] = {"choi": encode_matrix(dev.choi)}
-        return doc
-    if isinstance(dev, Instrument):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "instrument",
-            "in_dim": dev.in_dim,
-            "out_dim": dev.out_dim,
-            "outcomes": list(dev.outcomes),
-            "representation": "choi",
-            "matrices": {
-                label: encode_matrix(b) for label, b in zip(dev.outcomes, dev.branches)
-            },
-        }
-    raise TypeError(f"not a device: {type(dev).__name__}")
+        kind, representation, named = "observable", "effects", zip(dev.outcomes, dev.effects)
+    elif isinstance(dev, Instrument):
+        kind, representation, named = "instrument", "choi", zip(dev.outcomes, dev.branches)
+    elif isinstance(dev, QuantumChannel) and dev.kraus is not None:
+        kind, representation, named = "channel", "kraus", ((f"K{i}", k) for i, k in enumerate(dev.kraus))
+    elif isinstance(dev, QuantumChannel):
+        kind, representation, named = "channel", "choi", [("choi", dev.choi)]
+    else:
+        raise TypeError(f"not a device: {type(dev).__name__}")
+    doc = {"schema_version": SCHEMA_VERSION, "kind": kind, "in_dim": dev.in_dim}
+    if kind != "observable":
+        doc["out_dim"] = dev.out_dim
+    if kind != "channel":
+        doc["outcomes"] = list(dev.outcomes)
+    doc["representation"] = representation
+    doc["matrices"] = {name: encode_matrix(m) for name, m in named}
+    return doc
 
 
 def _field(doc: dict, key: str, invariant: str) -> Any:
@@ -172,8 +152,11 @@ def device_from_json(doc: dict) -> Device:
                 raise InvariantViolation("channel.kraus_shape", f"{bad} are not of shape {shape}")
             return QuantumChannel(kraus_to_choi(kraus), in_dim, out_dim, kraus=kraus)
         if representation == "choi":
-            choi = decode_matrix(_field(matrices, "choi", "file.matrices"), "choi")
-            return QuantumChannel(choi, in_dim, out_dim)
+            if set(matrices) != {"choi"}:
+                raise InvariantViolation(
+                    "file.matrices", f"a 'choi' channel has the one matrix 'choi', got {sorted(matrices)}"
+                )
+            return QuantumChannel(decode_matrix(matrices["choi"], "choi"), in_dim, out_dim)
         raise InvariantViolation(
             "file.representation", f"channels use 'kraus' or 'choi', got {representation!r}"
         )
@@ -213,9 +196,18 @@ def save_device(dev: Device, path: str | Path) -> None:
     Path(path).write_text(json.dumps(device_to_json(dev), indent=1), encoding="utf-8")
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """Object hook: ``json.loads`` would keep only the last of repeated keys."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        repeated = sorted(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise InvariantViolation("file.duplicate_key", f"keys {repeated} appear more than once")
+    return doc
+
+
 def load_device(path: str | Path) -> Device:
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except (OSError, json.JSONDecodeError) as exc:
         raise InvariantViolation("file.readable", f"{path}: {exc}") from exc
     return device_from_json(doc)

@@ -22,6 +22,11 @@ truth.  Outcome labels are strings, and the composite outcome of a pair
 
 All device objects are immutable after construction (arrays are frozen) and
 validated against their defining constraints.
+
+Every device has the instrument view ``in_dim``, ``out_dim``, ``branches``,
+``outcomes``: an observable is the instrument with branches A(x)^T (the Choi
+matrices of rho -> tr[rho A(x)]) onto a one-dimensional output, and a channel
+the one-outcome instrument whose branch is its Choi matrix.
 """
 
 from __future__ import annotations
@@ -243,6 +248,8 @@ class Observable:
         self.outcomes = _validate(
             "observable", self.effects, outcomes, self.in_dim, 1, tol_psd, tol_feas
         )
+        self.out_dim = 1
+        self.branches = tuple(e.T for e in self.effects)
 
     def __repr__(self) -> str:
         return f"Observable(in_dim={self.in_dim}, outcomes={self.outcomes})"
@@ -266,6 +273,7 @@ class QuantumChannel:
         self.choi = _frozen(choi)
         self.kraus = tuple(_frozen(k) for k in kraus) if kraus is not None else None
         _validate("channel", (self.choi,), None, self.in_dim, self.out_dim, tol_psd, tol_feas)
+        self.branches, self.outcomes = (self.choi,), _default_labels(1)
         if self.kraus is None:
             return
         if not all(np.all(np.isfinite(k)) for k in self.kraus):

@@ -23,7 +23,7 @@ from qcompat.compatibility import (
     gen_shared_observable_pair,
     gen_traditional_only_pair,
     marginal_instrument,
-    mix_channel,
+    mix_instrument,
     obs_obs_family,
     _constraints,
 )
@@ -103,15 +103,14 @@ def test_criterion_3_no_cloning_and_verdict_agreement():
         assert check_chan_chan(ident, ident).status is Status.INFEASIBLE
 
         rng = np.random.default_rng(20250102)
+        def noisy_channel(noise):
+            channel = random_channel(2, 2, int(rng.integers(1, 5)), rng)
+            return total_channel(mix_instrument(channel, noise))
+
         pairs = [(ident, ident)]
         for _ in range(20):
             noise1, noise2 = rng.uniform(0.0, 0.8, size=2)
-            pairs.append(
-                (
-                    mix_channel(random_channel(2, 2, int(rng.integers(1, 5)), rng), noise1),
-                    mix_channel(random_channel(2, 2, int(rng.integers(1, 5)), rng), noise2),
-                )
-            )
+            pairs.append((noisy_channel(noise1), noisy_channel(noise2)))
         for c1, c2 in pairs:
             as_channels = check_chan_chan(c1, c2).status
             as_instruments = check_parallel(
@@ -128,7 +127,7 @@ def test_criterion_4_joint_observable_extraction(constructed_pairs):
             joint = induced_observable(giant)
             a = induced_observable(i1)
             b = induced_observable(i2)
-            assert grid_misfit("obs-obs", a, b, joint.effects) <= 1e-6
+            assert grid_misfit("obs-obs", a, b, joint.branches) <= 1e-6
 
 
 def test_criterion_5_marginal_instruments(constructed_pairs):

@@ -264,6 +264,50 @@ class TestSolverError:
         assert [r["status"] for r in report["results"]] == ["solver-error"]
 
 
+class TestSolverFailureIsNotBadInput:
+    # numpy's LinAlgError is a ValueError, like the input stage's errors.
+    PROP1 = [str(FIXTURES_DIR / "prop1_i1.json"), str(FIXTURES_DIR / "prop1_i2.json")]
+    SHARP = [str(FIXTURES_DIR / "sharp_x.json"), str(FIXTURES_DIR / "sharp_z.json")]
+
+    @pytest.fixture(autouse=True)
+    def failing_solver(self, monkeypatch):
+        def solve(*args, **kwargs):
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+        monkeypatch.setattr(compatibility, "dykstra_solve", solve)
+        monkeypatch.setattr(feasibility, "dykstra_solve", solve)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["check", "parallel", *PROP1], ["robustness", "obs-obs", *SHARP], ["demo", "prop1"]],
+        ids=["check", "robustness", "demo"],
+    )
+    def test_command(self, argv, capsys):
+        code, report = run_cli(argv, capsys)
+        assert (code, report["status"]) == (4, "solver-error")
+        assert "LinAlgError" in report["error"]
+
+    def test_batch_entry_fails_alone(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        entries = [{"notion": "parallel", "devices": self.PROP1}, TestMalformedBatchEntry.WEAK]
+        manifest.write_text(json.dumps({"checks": entries}))
+        code, report = run_cli(["check", "--batch", str(manifest)], capsys)
+        assert (code, report["status"]) == (4, "solver-error")
+        assert [r["status"] for r in report["results"]] == ["solver-error", "feasible"]
+
+
+def test_bad_arguments_stay_input_errors(tmp_path, capsys):
+    # Each would otherwise fail inside the decision: opening the trace log,
+    # seeding the demo's generator.
+    sharp = TestSolverFailureIsNotBadInput.SHARP
+    for argv in (
+        ["check", "obs-obs", *sharp, "--trace-log", str(tmp_path / "no-such-dir" / "trace.log")],
+        ["demo", "prop1", "--seed", "-1"],
+    ):
+        code, report = run_cli(argv, capsys)
+        assert (code, report["status"]) == (3, "error"), argv
+
+
 class TestBatch:
     def test_manifest_runs_concurrently(self, fixtures_dir, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"
@@ -389,6 +433,26 @@ class TestValidate:
         code, report = run_cli(["validate", *files], capsys)
         assert code == 0
         assert all(entry["ok"] for entry in report["files"])
+
+    @pytest.mark.parametrize("defect", ["repeated-key", "extra-choi-matrix"])
+    def test_file_that_would_drop_a_matrix(self, defect, tmp_path, capsys):
+        if defect == "repeated-key":
+            # The first "+" breaks the effect sum; json.loads would keep the second.
+            text = (FIXTURES_DIR / "sharp_z.json").read_text()
+            bad_plus = json.dumps([[[5.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]])
+            text = json.dumps(json.loads(text)).replace('"matrices": {', f'"matrices": {{"+": {bad_plus}, ', 1)
+            notion, other, invariant = "obs-obs", "sharp_x.json", "file.duplicate_key"
+        else:
+            doc = json.loads((FIXTURES_DIR / "depolarizing_channel.json").read_text())
+            doc["matrices"]["extra"] = doc["matrices"]["choi"]
+            text = json.dumps(doc)
+            notion, other, invariant = "chan-chan", "identity_channel.json", "file.matrices"
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code, report = run_cli(["validate", str(bad)], capsys)
+        assert (code, report["files"][0]["violated_invariant"]) == (3, invariant)
+        code, report = run_cli(["check", notion, str(bad), str(FIXTURES_DIR / other)], capsys)
+        assert (code, report["violated_invariant"]) == (3, invariant)
 
     def test_invalid_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

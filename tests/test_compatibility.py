@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +23,10 @@ from qcompat.compatibility import (
     gen_shared_observable_pair,
     gen_traditional_only_pair,
     marginal_instrument,
-    mix_channel,
     mix_instrument,
-    mix_observable,
+    obs_obs_family,
     parallel_composition,
+    _check_certificate,
     _grid_residuals,
 )
 from qcompat.deviceio import load_device
@@ -40,7 +41,7 @@ from qcompat.devices import (
     split_composite,
     total_channel,
 )
-from qcompat.feasibility import Status
+from qcompat.feasibility import ROBUSTNESS_PRECISION, Status, robustness_bisect
 from qcompat.linalg import partial_trace
 from qcompat.sampling import random_channel, random_instrument
 
@@ -77,7 +78,7 @@ class TestObsObs:
         report = check_obs_obs(trivial, other)
         assert report.status is Status.FEASIBLE
         # Witness marginals reproduce the inputs.
-        assert grid_misfit("obs-obs", trivial, other, report.joint_device.effects) <= 1e-6
+        assert grid_misfit("obs-obs", trivial, other, report.joint_device.branches) <= 1e-6
 
     def test_dim_mismatch(self, sharp_z, rng):
         with pytest.raises(DimMismatch):
@@ -88,13 +89,13 @@ class TestObsObs:
         b = noisy_pauli(PAULI_Z, 0.6)
         report = check_obs_obs(a, b)
         assert report.status is Status.FEASIBLE
-        assert grid_misfit("obs-obs", a, b, report.joint_device.effects) <= 1e-6
+        assert grid_misfit("obs-obs", a, b, report.joint_device.branches) <= 1e-6
 
 
 class TestObsChan:
     def test_trivial_observable_vs_any_channel(self, rng):
         trivial = Observable([0.25 * EYE2, 0.75 * EYE2], ["a", "b"])
-        chan = mix_channel(random_channel(2, 2, 2, rng), 0.3)
+        chan = total_channel(mix_instrument(random_channel(2, 2, 2, rng), 0.3))
         report = check_obs_chan(trivial, chan)
         assert report.status is Status.FEASIBLE
         inst = report.joint_device
@@ -381,7 +382,7 @@ class TestJointObservableExtraction:
         joint = induced_observable(giant)
         a = induced_observable(i1)
         b = induced_observable(i2)
-        assert grid_misfit("obs-obs", a, b, joint.effects) <= 1e-10
+        assert grid_misfit("obs-obs", a, b, joint.branches) <= 1e-10
 
     def test_single_branch_giant(self, rng):
         chan = random_channel(2, 4, 2, rng)
@@ -481,7 +482,7 @@ class TestTheorem1Item1:
         joint_obs = induced_observable(report.joint_device, tol_feas=1e-5, tol_psd=1e-6)
         a = induced_observable(i1)
         b = induced_observable(i2)
-        assert grid_misfit("obs-obs", a, b, joint_obs.effects) <= 1e-6
+        assert grid_misfit("obs-obs", a, b, joint_obs.branches) <= 1e-6
 
 
 def marginal_traditional(joint: Instrument, keep: str) -> Instrument:
@@ -502,14 +503,14 @@ def marginal_traditional(joint: Instrument, keep: str) -> Instrument:
 
 class TestMixers:
     def test_fully_mixed_observable_is_trivial(self, sharp_x):
-        mixed = mix_observable(sharp_x, 1.0)
-        for e in mixed.effects:
+        mixed = mix_instrument(sharp_x, 1.0)
+        for e in mixed.branches:
             assert np.linalg.norm(e - EYE2 / 2) <= 1e-12
 
     def test_fully_mixed_channel_is_depolarizing(self, rng):
         chan = random_channel(2, 2, 3, rng)
         assert np.linalg.norm(
-            mix_channel(chan, 1.0).choi - QuantumChannel.depolarizing(2).choi
+            total_channel(mix_instrument(chan, 1.0)).choi - QuantumChannel.depolarizing(2).choi
         ) <= 1e-12
 
     def test_mixed_instrument_keeps_weights(self, rng):
@@ -580,3 +581,109 @@ class TestGenerators:
         sc2 = gen_parallel_only_pair(seed=7)
         for b1, b2 in zip(sc1.first.branches, sc2.first.branches):
             assert np.array_equal(b1, b2)
+
+
+def _hand_built(device) -> Instrument:
+    """The instrument a device is, built from its own matrices rather than
+    its instrument view: the transposed effects onto a one-dimensional
+    output, or the Choi matrix as the one branch."""
+    if isinstance(device, Observable):
+        return Instrument([e.T for e in device.effects], device.in_dim, 1, device.outcomes)
+    return Instrument([device.choi], device.in_dim, device.out_dim)
+
+
+def _shipped(fixtures_dir, kind) -> list:
+    devices = (load_device(path) for path in sorted(fixtures_dir.glob("*.json")))
+    return [d for d in devices if isinstance(d, kind)]
+
+
+class TestInstrumentView:
+    def test_notion_grids_are_the_parallel_grid_of_instruments(self, fixtures_dir):
+        observables = _shipped(fixtures_dir, Observable)
+        channels = _shipped(fixtures_dir, QuantumChannel)
+        assert len(observables) >= 2 and len(channels) >= 2
+        # (notion, first, second, the parallel pair, its traced factors);
+        # obs-chan keeps the channel as the first side.
+        cases = [("obs-obs", a, b, (a, b), (None, None)) for a in observables for b in observables]
+        cases += [("obs-chan", a, c, (c, a), (None, 1)) for a in observables for c in channels]
+        cases += [("chan-chan", c1, c2, (c1, c2), (2, 1)) for c1 in channels for c2 in channels]
+        for notion, first, second, pair, traced in cases:
+            grid = NOTIONS[notion].grid(first, second)
+            p, q = map(_hand_built, pair)
+            ref = NOTIONS["parallel"].grid(p, q)
+            assert grid.shape == ref.shape == (p.in_dim, p.out_dim, q.out_dim)
+            assert (grid.trace_first, grid.trace_second) == (ref.trace_first, ref.trace_second) == traced
+            assert (len(grid.first), len(grid.second)) == (len(ref.first), len(ref.second))
+            for got, want in zip([*grid.first, *grid.second], [*ref.first, *ref.second]):
+                assert np.array_equal(got, want)
+
+    def test_mix_instrument_of_a_view_is_the_per_kind_mix(self, fixtures_dir):
+        # The noise mixes the robustness families used per device kind.
+        for t in (0.0, 0.3, 1.0):
+            for a in _shipped(fixtures_dir, Observable):
+                d = a.in_dim
+                want = [((1 - t) * e + t * (np.trace(e).real / d) * np.eye(d)).T for e in a.effects]
+                got = mix_instrument(a, t)
+                assert (got.in_dim, got.out_dim, got.outcomes) == (d, 1, a.outcomes)
+                assert max(np.abs(g - w).max() for g, w in zip(got.branches, want)) <= 1e-15
+            for c in _shipped(fixtures_dir, QuantumChannel):
+                want = (1 - t) * c.choi + t * np.eye(c.in_dim * c.out_dim) / c.out_dim
+                got = mix_instrument(c, t)
+                assert got.outcomes == Instrument([c.choi], c.in_dim, c.out_dim).outcomes
+                assert np.abs(got.branches[0] - want).max() <= 1e-15
+
+    def test_view_is_read_only(self, fixtures_dir):
+        for device in [*_shipped(fixtures_dir, Observable), *_shipped(fixtures_dir, QuantumChannel)]:
+            assert isinstance(device.branches, tuple)
+            for branch in device.branches:
+                with pytest.raises(ValueError):
+                    branch[0, 0] = 0.0
+
+
+def _mub_pair(d: int, t: float) -> tuple[Observable, Observable]:
+    """The computational and Fourier bases of C^d as sharp observables,
+    each effect mixed with white noise: (1 - t) P + t I/d."""
+    fourier = np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d) / math.sqrt(d)
+
+    def noisy(basis: np.ndarray) -> Observable:
+        return Observable([(1 - t) * np.outer(v, v.conj()) + t * np.eye(d) / d for v in basis.T])
+
+    return noisy(np.eye(d)), noisy(fourier)
+
+
+def _identity_pair(d: int, t: float) -> tuple[QuantumChannel, QuantumChannel]:
+    """Two copies of the identity channel mixed toward rho -> I/d."""
+    noisy = QuantumChannel((1 - t) * QuantumChannel.identity(d).choi + t * np.eye(d * d) / d, d, d)
+    return noisy, noisy
+
+
+# Thresholds known in closed form.  Two mutually unbiased bases under white
+# noise are jointly measurable iff the visibility is at most
+# (2 + √d)/(2(1 + √d)) (Carmeli, Heinosaari & Toigo, PRA 85, 012109, 2012);
+# optimal symmetric 1 -> 2 cloning shrinks by (d + 2)/(2(d + 1)) (Werner,
+# PRA 58, 1827, 1998).
+ORACLES = [
+    *(("mub", d, 1 - (2 + math.sqrt(d)) / (2 * (1 + math.sqrt(d)))) for d in range(2, 7)),
+    *(("identity", d, d / (2 * (d + 1))) for d in (2, 3)),
+]
+
+
+@pytest.mark.parametrize("case, d, exact", ORACLES, ids=[f"{c}-d{d}" for c, d, _ in ORACLES])
+def test_closed_form_thresholds(case, d, exact):
+    # The notion's solve goes through the instrument view; the parallel
+    # solve on hand-built instruments and the closed form do not.
+    if case == "mub":
+        pair, check, family_of = (lambda t: _mub_pair(d, t)), check_obs_obs, obs_obs_family
+    else:
+        pair, check, family_of = (lambda t: _identity_pair(d, t)), check_chan_chan, chan_chan_family
+    assert exact <= robustness_bisect(family_of(*pair(0.0))) <= exact + ROBUSTNESS_PRECISION
+    for t, status in ((exact - 2e-3, Status.INFEASIBLE), (exact + 2e-3, Status.FEASIBLE)):
+        devices = pair(t)
+        instruments = [_hand_built(device) for device in devices]
+        hand_grid = NOTIONS["parallel"].grid(*instruments)
+        for report in (check(*devices), check_parallel(*instruments)):
+            assert report.status is status, (report.notion, t)
+            if status is Status.INFEASIBLE:
+                assert _check_certificate("parallel", hand_grid, report.verdict.certificate) < 0
+            else:
+                assert max(_grid_residuals(hand_grid, report.joint_device.branches)) <= 1e-6

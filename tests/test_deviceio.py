@@ -107,18 +107,36 @@ class TestLoadErrors:
             device_from_json(doc)
         assert err.value.invariant == "file.matrices"
 
-    @pytest.mark.parametrize("kind", ["observable", "instrument"])
+    @pytest.mark.parametrize("kind", ["observable", "instrument", "choi-channel"])
     def test_matrix_for_no_outcome(self, kind, rng):
         # An extra matrix must not be dropped without a word.
         if kind == "observable":
             doc = device_to_json(random_observable(2, 2, rng))
-        else:
+        elif kind == "instrument":
             doc = device_to_json(random_instrument(2, 2, 2, 1, rng))
-        doc["matrices"]["extra"] = doc["matrices"]["0"]
+        else:
+            doc = device_to_json(QuantumChannel.depolarizing(2))
+        doc["matrices"]["extra"] = next(iter(doc["matrices"].values()))
         with pytest.raises(InvariantViolation) as err:
             device_from_json(doc)
         assert err.value.invariant == "file.matrices"
         assert "extra" in str(err.value)
+
+    @pytest.mark.parametrize("level", ["top", "matrices"])
+    def test_repeated_key(self, level, tmp_path, fixtures_dir):
+        # json.loads keeps the last of repeated keys, so the first would be
+        # dropped unchecked: a wrong in_dim, or an effect that breaks the sum.
+        text = json.dumps(json.loads((fixtures_dir / "sharp_z.json").read_text()))
+        bad_plus = json.dumps([[[5.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]])
+        if level == "top":
+            text = '{"in_dim": 3, ' + text[1:]
+        else:
+            text = text.replace('"matrices": {', f'"matrices": {{"+": {bad_plus}, ', 1)
+        path = tmp_path / "repeated.json"
+        path.write_text(text)
+        with pytest.raises(InvariantViolation) as err:
+            load_device(path)
+        assert err.value.invariant == "file.duplicate_key"
 
     def test_bad_matrix_encoding(self, rng):
         doc = device_to_json(random_observable(2, 2, rng))

@@ -12,7 +12,7 @@ from qcompat.compatibility import (
     obs_obs_family,
 )
 from qcompat.deviceio import load_device
-from qcompat.devices import Instrument, QuantumChannel
+from qcompat.devices import Instrument, QuantumChannel, total_channel
 from qcompat.feasibility import (
     TOL_PSD,
     AffineConstraintSet,
@@ -167,8 +167,8 @@ def _dense_reference(grid) -> tuple[np.ndarray, np.ndarray]:
 def _grid_cases():
     rng = np.random.default_rng(31)
     sx, sz = sharp(PAULI_X), sharp(PAULI_Z)
-    chan = compatibility.mix_channel(random_channel(2, 2, 2, rng), 0.3)
-    wide = compatibility.mix_channel(random_channel(2, 3, 2, rng), 0.3)
+    chan = total_channel(compatibility.mix_instrument(random_channel(2, 2, 2, rng), 0.3))
+    wide = total_channel(compatibility.mix_instrument(random_channel(2, 3, 2, rng), 0.3))
     i1 = random_instrument(2, 2, 2, 1, rng)
     i2 = random_instrument(2, 2, 3, 1, rng)
     # Same total channel as i1, so the traditional system is consistent.

@@ -56,6 +56,17 @@ def test_benchmark_workloads_build_and_warm_up(tmp_path, monkeypatch):
             step()
 
 
+def test_every_benchmark_decision_agrees_with_its_oracle(tmp_path, monkeypatch):
+    # A decision whose oracle disagrees counts as a failed operation in
+    # the benchmark, so it must fail here first.
+    workloads = _load_perfbench("workloads", monkeypatch)
+    for name, make in workloads.WORKLOADS.items():
+        workdir = tmp_path / name
+        workdir.mkdir()
+        failures = {d.name: d.run() for d in make(1, workdir).decisions}
+        assert {k: why for k, why in failures.items() if why is not None} == {}, name
+
+
 def test_benchmark_trace_contract(sharp_x, sharp_z, fixtures_dir, monkeypatch):
     # perfbench/tracing.py patches solver names and requires each constraint
     # factorization to run inside a build, each projection inside a solve.
