@@ -16,6 +16,10 @@ solver failed (status ``solver-error``: an exception raised while deciding,
 a feasible witness that is not a valid device or misses the marginals, or an
 infeasibility certificate that does not hold).  Only the input stage, from
 parsing the arguments to checking the devices' kinds and dimensions, exits 3.
+The input stage also checks every output path before any solve: the
+directories of ``--witness-out`` and of a batch entry's ``report_out`` must
+exist and be writable (neither file is created there), and ``--trace-log``
+must open for appending.
 
 A check report's ``certificate`` is ``{"value", "min_eig"}`` for an
 INFEASIBLE verdict the solver certified: Re⟨λ, t⟩ and the smallest
@@ -29,9 +33,10 @@ A batch manifest is a JSON object ``{"checks": [...]}`` where each entry has
 and ``report_out``; entries run one after another, in order, and per-check
 reports are written atomically.  An entry that is not an object with a
 string ``notion``, a list ``devices`` and string paths gets an error report
-of its own, as does an entry whose decision fails.  The batch exits with the
-worst code of its entries.  ``--batch`` together with a notion, device
-files or ``--witness-out`` is an input error (exit 3).
+of its own, as does an entry whose ``report_out`` cannot be written (that
+entry is not decided) and an entry whose decision fails.  The batch exits
+with the worst code of its entries.  ``--batch`` together with a notion,
+device files or ``--witness-out`` is an input error (exit 3).
 
 The solver flags are ``--tol-feas``, ``--max-iter`` and ``--trace-log``.
 ``--trace-log`` appends one line per solver sweep: sweep number, the gap
@@ -116,14 +121,35 @@ def _verdict_json(verdict) -> dict:
     }
 
 
-def _load_typed(path: str, expected_kind: type, notion: str):
-    device = load_device(path)
-    if not isinstance(device, expected_kind):
-        raise CliInputError(
-            f"{path}: {notion!r} needs a {expected_kind.__name__.lower()}, "
-            f"got {type(device).__name__.lower()}"
-        )
-    return device
+def _report(command: list[str], action: str, **fields) -> dict:
+    """Every document the CLI prints or writes starts with this header."""
+    return {"schema_version": REPORT_SCHEMA_VERSION, "command": command, "action": action, **fields}
+
+
+def _load_devices(notion: str, paths: list[str], known) -> list:
+    """Load one device file per side of ``notion``, each of the kind it takes."""
+    if notion not in known:
+        raise CliInputError(f"unknown notion {notion!r}; expected one of {sorted(known)}")
+    kinds = compat.NOTIONS[notion].kinds
+    if len(paths) != len(kinds):
+        raise CliInputError(f"{notion!r} takes {len(kinds)} device files, got {len(paths)}")
+    devices = []
+    for path, kind in zip(paths, kinds):
+        device = load_device(path)
+        if not isinstance(device, kind):
+            raise CliInputError(
+                f"{path}: {notion!r} needs a {kind.__name__.lower()}, "
+                f"got {type(device).__name__.lower()}"
+            )
+        devices.append(device)
+    return devices
+
+
+def _check_writable(path: str) -> None:
+    """An output file must be able to land at ``path``; it is not created."""
+    directory = os.path.dirname(path) or "."
+    if os.path.isdir(path) or not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+        raise CliInputError(f"cannot write {path}: {directory} is not a writable directory")
 
 
 @contextlib.contextmanager
@@ -176,42 +202,31 @@ def _run_one_check(
     cfg: SolverConfig,
     witness_out: str | None,
     command: list[str],
-) -> dict:
-    if notion not in _CHECKS:
-        raise CliInputError(
-            f"unknown notion {notion!r}; expected one of {sorted(_CHECKS)}"
-        )
-    fn, kinds = _CHECKS[notion]
-    if len(device_paths) != len(kinds):
-        raise CliInputError(
-            f"{notion!r} takes {len(kinds)} device files, got {len(device_paths)}"
-        )
-    devices = [
-        _load_typed(path, kind, notion) for path, kind in zip(device_paths, kinds)
-    ]
+) -> tuple[dict, int]:
+    if witness_out:
+        _check_writable(witness_out)
+    devices = _load_devices(notion, device_paths, _CHECKS)
     started = time.perf_counter()
     with _deciding():
-        report = fn(*devices, cfg)
+        report = _CHECKS[notion][0](*devices, cfg)
     wall = time.perf_counter() - started
 
-    doc = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "command": command,
-        "action": "check",
-        "notion": notion,
-        "devices": list(device_paths),
+    doc = _report(
+        command, "check",
+        notion=notion,
+        devices=list(device_paths),
         **_verdict_json(report.verdict),
-        "notes": list(report.notes),
-        "witness": None,
-        "witness_path": None,
-        "wall_time_s": round(wall, 6),
-    }
+        notes=list(report.notes),
+        witness=None,
+        witness_path=None,
+        wall_time_s=round(wall, 6),
+    )
     if report.joint_device is not None:
         doc["witness"] = device_to_json(report.joint_device)
         if witness_out:
             save_device(report.joint_device, witness_out)
             doc["witness_path"] = witness_out
-    return doc
+    return doc, EXIT_BY_STATUS[doc["status"]]
 
 
 def _cmd_check(args: argparse.Namespace, command: list[str]) -> tuple[dict, int]:
@@ -224,8 +239,7 @@ def _cmd_check(args: argparse.Namespace, command: list[str]) -> tuple[dict, int]
         return _cmd_check_batch(args, cfg, command)
     if args.notion is None or len(args.devices) == 0:
         raise CliInputError("check needs a notion and device files (or --batch)")
-    doc = _run_one_check(args.notion, args.devices, cfg, args.witness_out, command)
-    return doc, EXIT_BY_STATUS[doc["status"]]
+    return _run_one_check(args.notion, args.devices, cfg, args.witness_out, command)
 
 
 def _cmd_check_batch(
@@ -239,45 +253,39 @@ def _cmd_check_batch(
     if not isinstance(entries, list):
         raise CliInputError(f"batch manifest {args.batch}: 'checks' must be a list")
 
-    results = []
-    for entry in entries:
-        well_formed = (
-            isinstance(entry, dict)
-            and isinstance(entry.get("notion"), str)
-            and isinstance(entry.get("devices"), list)
-            and all(isinstance(entry.get(k, ""), str) for k in ("witness_out", "report_out"))
-        )
-        try:
-            if not well_formed:
-                raise CliInputError(
-                    "a batch entry must be an object with a string 'notion', a list "
-                    "'devices', and strings for 'witness_out' and 'report_out' if given"
-                )
-            doc = _run_one_check(
-                entry["notion"],
-                [str(p) for p in entry["devices"]],
-                cfg,
-                entry.get("witness_out"),
-                command,
-            )
-        except _INPUT_ERRORS as exc:
-            doc = _error_report(command, exc)
-        except compat.SolverError as exc:
-            doc = _error_report(command, exc, "solver-error")
-        if well_formed and entry.get("report_out"):
-            _atomic_write(entry["report_out"], json.dumps(doc, indent=2))
-        results.append(doc)
+    results = [
+        _guarded(command, lambda: _run_batch_entry(entry, cfg, command))[0] for entry in entries
+    ]
+    worst = max(results, key=lambda r: EXIT_BY_STATUS[r["status"]], default={"status": "ok"})
+    code = EXIT_BY_STATUS[worst["status"]]
+    status = worst["status"] if code else "ok"
+    return _report(command, "batch", status=status, results=results), code
 
-    worst = max((EXIT_BY_STATUS[r["status"]] for r in results), default=0)
-    status = {0: "ok", 1: "infeasible", 2: "undecided", 3: "error", 4: "solver-error"}[worst]
-    doc = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "command": command,
-        "action": "batch",
-        "status": status,
-        "results": results,
-    }
-    return doc, worst
+
+def _run_batch_entry(entry, cfg: SolverConfig, command: list[str]) -> tuple[dict, int]:
+    """A malformed entry or an unwritable ``report_out`` raises before the
+    decision; the decision's own report, error or not, goes to ``report_out``."""
+    if not (
+        isinstance(entry, dict)
+        and isinstance(entry.get("notion"), str)
+        and isinstance(entry.get("devices"), list)
+        and all(isinstance(entry.get(k, ""), str) for k in ("witness_out", "report_out"))
+    ):
+        raise CliInputError(
+            "a batch entry must be an object with a string 'notion', a list "
+            "'devices', and strings for 'witness_out' and 'report_out' if given"
+        )
+    report_out = entry.get("report_out")
+    if report_out:
+        _check_writable(report_out)
+    devices = [str(p) for p in entry["devices"]]
+    doc, code = _guarded(
+        command,
+        lambda: _run_one_check(entry["notion"], devices, cfg, entry.get("witness_out"), command),
+    )
+    if report_out:
+        _atomic_write(report_out, json.dumps(doc, indent=2))
+    return doc, code
 
 
 # ---------------------------------------------------------------------------
@@ -286,30 +294,21 @@ def _cmd_check_batch(
 
 
 def _cmd_robustness(args: argparse.Namespace, command: list[str]) -> tuple[dict, int]:
-    if args.notion not in _FAMILIES:
-        raise CliInputError(f"robustness supports {_FAMILIES}, got {args.notion!r}")
-    if len(args.devices) != 2:
-        raise CliInputError("robustness takes exactly two device files")
-    devices = [
-        _load_typed(path, kind, args.notion)
-        for path, kind in zip(args.devices, compat.NOTIONS[args.notion].kinds)
-    ]
+    devices = _load_devices(args.notion, args.devices, _FAMILIES)
     cfg = _solver_config(args)
     started = time.perf_counter()
     with _deciding():
         value = robustness_bisect(compat.family(args.notion, *devices), cfg)
-    doc = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "command": command,
-        "action": "robustness",
-        "notion": args.notion,
-        "devices": list(args.devices),
-        "status": "ok",
-        "robustness": round(value, 6),
-        "noise_model": "mix each device toward its trivial counterpart: (1-t) D + t D_trivial",
-        "precision": ROBUSTNESS_PRECISION,
-        "wall_time_s": round(time.perf_counter() - started, 6),
-    }
+    doc = _report(
+        command, "robustness",
+        notion=args.notion,
+        devices=list(args.devices),
+        status="ok",
+        robustness=round(value, 6),
+        noise_model="mix each device toward its trivial counterpart: (1-t) D + t D_trivial",
+        precision=ROBUSTNESS_PRECISION,
+        wall_time_s=round(time.perf_counter() - started, 6),
+    )
     return doc, 0
 
 
@@ -337,14 +336,8 @@ def _cmd_validate(args: argparse.Namespace, command: list[str]) -> tuple[dict, i
                     "detail": str(exc),
                 }
             )
-    doc = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "command": command,
-        "action": "validate",
-        "status": "ok" if ok else "error",
-        "files": entries,
-    }
-    return doc, 0 if ok else EXIT_BY_STATUS["error"]
+    doc = _report(command, "validate", status="ok" if ok else "error", files=entries)
+    return doc, EXIT_BY_STATUS[doc["status"]]
 
 
 # ---------------------------------------------------------------------------
@@ -438,38 +431,21 @@ def _demo_example2(cfg: SolverConfig, seed: int) -> list[dict]:
 
 
 def _demo_theorem1(cfg: SolverConfig, seed: int) -> list[dict]:
-    rng = np.random.default_rng(seed)
-    checks: list[dict] = []
-
-    # Verdict agreement: broadcasting two channels is the same question as
-    # implementing their single-outcome instruments side by side.
-    def noisy_channel(noise: float) -> QuantumChannel:
-        channel = random_channel(2, 2, int(rng.integers(1, 5)), rng)
-        return total_channel(compat.mix_instrument(channel, noise))
-
-    pairs = [(QuantumChannel.identity(2), QuantumChannel.identity(2))]
-    for _ in range(3):
-        noise1, noise2 = rng.uniform(0, 0.8, size=2)
-        pairs.append((noisy_channel(noise1), noisy_channel(noise2)))
-    for k, (c1, c2) in enumerate(pairs):
-        as_channels = compat.check_chan_chan(c1, c2, cfg)
-        as_instruments = compat.check_parallel(
-            Instrument([c1.choi], c1.in_dim, c1.out_dim),
-            Instrument([c2.choi], c2.in_dim, c2.out_dim),
-            cfg,
-        )
-        decided = Status.UNDECIDED not in (as_channels.status, as_instruments.status)
-        agree = decided and as_channels.status is as_instruments.status
-        entry = _ok_entry(
-            f"verdict-agreement-{k}", agree,
-            chan_chan=as_channels.status.value, parallel=as_instruments.status.value,
-        )
-        if not decided:
-            entry["status"] = "undecided"
-        checks.append(entry)
+    # Two channels are compatible exactly when their one-outcome instruments
+    # are parallelly compatible.  The qubit identity mixed toward noise t is
+    # compatible with itself iff t >= d / (2(d+1)) = 1/3, Werner's optimal
+    # cloning threshold (R. F. Werner, Phys. Rev. A 58, 1827 (1998)).
+    identity = QuantumChannel.identity(2)
+    checks = []
+    for t, expected in ((1 / 3 - 2e-3, Status.INFEASIBLE), (1 / 3 + 2e-3, Status.FEASIBLE)):
+        noisy = compat.mix_instrument(identity, t)
+        report = compat.check_parallel(noisy, noisy, cfg)
+        name = f"cloning-threshold-{expected.value}"
+        checks.append(_expect_entry(name, "parallel", report, expected))
 
     # Outcome-marginal reductions of a constructive joint instrument measure
     # one side's observable while implementing the other side's channel.
+    rng = np.random.default_rng(seed)
     broadcast = random_channel(2, 4, 3, rng)
     local1 = random_instrument(2, 2, 2, 1, rng)
     local2 = random_instrument(2, 2, 2, 2, rng)
@@ -514,16 +490,14 @@ def _cmd_demo(args: argparse.Namespace, command: list[str]) -> tuple[dict, int]:
         status = "ok"
     else:
         status = "mismatch"
-    doc = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "command": command,
-        "action": "demo",
-        "name": args.name,
-        "seed": seed,
-        "status": status,
-        "checks": checks,
-        "wall_time_s": round(time.perf_counter() - started, 6),
-    }
+    doc = _report(
+        command, "demo",
+        name=args.name,
+        seed=seed,
+        status=status,
+        checks=checks,
+        wall_time_s=round(time.perf_counter() - started, 6),
+    )
     return doc, EXIT_BY_STATUS[status]
 
 
@@ -571,18 +545,18 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
-def _error_report(command: list[str], exc: Exception, status: str = "error") -> dict:
-    doc = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "command": command,
-        "action": "error",
-        "status": status,
-        "error": str(exc),
-    }
-    invariant = getattr(exc, "invariant", None)
-    if invariant:
-        doc["violated_invariant"] = invariant
-    return doc
+def _guarded(command: list[str], run) -> tuple[dict, int]:
+    """``run()``'s report and exit code, or an error report: exit 3 for an
+    input error, 4 for a solver error."""
+    try:
+        return run()
+    except _INPUT_ERRORS as exc:
+        doc = _report(command, "error", status="error", error=str(exc))
+        if getattr(exc, "invariant", None):
+            doc["violated_invariant"] = exc.invariant
+    except compat.SolverError as exc:
+        doc = _report(command, "error", status="solver-error", error=str(exc))
+    return doc, EXIT_BY_STATUS[doc["status"]]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -598,14 +572,7 @@ def main(argv: list[str] | None = None) -> int:
         "robustness": _cmd_robustness,
         "validate": _cmd_validate,
     }
-    try:
-        report, code = handlers[args.action](args, command)
-    except _INPUT_ERRORS as exc:
-        _emit(_error_report(command, exc))
-        return EXIT_BY_STATUS["error"]
-    except compat.SolverError as exc:
-        _emit(_error_report(command, exc, "solver-error"))
-        return EXIT_BY_STATUS["solver-error"]
+    report, code = _guarded(command, lambda: handlers[args.action](args, command))
     _emit(report)
     return code
 

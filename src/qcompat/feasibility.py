@@ -107,6 +107,8 @@ class SolverConfig:
         # NaN fails every comparison and inf passes every one.
         if not (math.isfinite(self.tol_feas) and self.tol_feas > 0):
             raise ValueError(f"tol_feas must be positive and finite, got {self.tol_feas}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)

@@ -241,8 +241,16 @@ def test_criterion_9_cli_contract(tmp_path, capsys):
     with criterion(9, "demos exit 0; malformed fixtures exit 3 naming the invariant; witness files re-validate"):
         for name in ("prop1", "prop2", "example1", "example2", "theorem1"):
             code = cli_main(["demo", name])
-            capsys.readouterr()
+            report = json.loads(capsys.readouterr().out)
             assert code == 0, f"demo {name} exited {code}"
+        # theorem1 brackets Werner's cloning threshold t* = 1/3 by 2e-3
+        closed_form = [
+            (c["name"], c["status"], c["ok"]) for c in report["checks"] if c["name"].startswith("cloning")
+        ]
+        assert closed_form == [
+            ("cloning-threshold-infeasible", "infeasible", True),
+            ("cloning-threshold-feasible", "feasible", True),
+        ]
 
         # malformed fixture: effects no longer sum to identity
         doc = json.loads((FIXTURES_DIR / "sharp_x.json").read_text())

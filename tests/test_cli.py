@@ -70,13 +70,19 @@ class TestCheck:
         assert code == 0
         assert report["status"] == "feasible"
 
-    def test_obs_obs_from_fixtures(self, fixtures_dir, capsys):
+    def test_obs_obs_from_fixtures(self, fixtures_dir, tmp_path, capsys):
+        # No witness, so --witness-out leaves no file behind.
+        witness = tmp_path / "w.json"
         code, report = run_cli(
-            ["check", "obs-obs", str(fixtures_dir / "sharp_x.json"), str(fixtures_dir / "sharp_z.json")],
+            [
+                "check", "obs-obs", str(fixtures_dir / "sharp_x.json"), str(fixtures_dir / "sharp_z.json"),
+                "--witness-out", str(witness),
+            ],
             capsys,
         )
         assert code == 1
         assert report["status"] == "infeasible"
+        assert (report["witness_path"], witness.exists()) == (None, False)
 
     def test_kind_mismatch_is_input_error(self, fixtures_dir, capsys):
         code, report = run_cli(
@@ -296,6 +302,40 @@ class TestSolverFailureIsNotBadInput:
         assert [r["status"] for r in report["results"]] == ["solver-error", "feasible"]
 
 
+@pytest.mark.parametrize(
+    "kind", ["check", "batch", "robustness", "validate", "demo", "input-error", "solver-error"]
+)
+def test_every_document_starts_with_the_report_header(kind, tmp_path, monkeypatch, capsys):
+    sharp = TestSolverFailureIsNotBadInput.SHARP
+    report_out = tmp_path / "entry.json"
+    entry = {**TestMalformedBatchEntry.WEAK, "report_out": str(report_out)}
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"checks": [entry]}))
+    argv = {
+        "check": ["check", "obs-obs", *sharp],
+        "batch": ["check", "--batch", str(manifest)],
+        "robustness": ["robustness", "obs-obs", *sharp],
+        "validate": ["validate", *sharp],
+        "demo": ["demo", "prop2"],
+        "input-error": ["check", "obs-obs", sharp[0]],
+        "solver-error": ["check", "obs-obs", *sharp],
+    }[kind]
+    if kind == "solver-error":
+        def solve(*args, **kwargs):
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+        monkeypatch.setattr(compatibility, "dykstra_solve", solve)
+    code, report = run_cli(argv, capsys)
+    documents = [report]
+    if kind == "batch":
+        documents += [*report["results"], json.loads(report_out.read_text())]
+    for doc in documents:
+        assert list(doc)[:3] == ["schema_version", "command", "action"]
+        assert doc["status"] in EXIT_BY_STATUS
+    assert EXIT_BY_STATUS[report["status"]] == code
+    assert report["action"] == {"input-error": "error", "solver-error": "error"}.get(kind, kind)
+
+
 def test_bad_arguments_stay_input_errors(tmp_path, capsys):
     # Each would otherwise fail inside the decision: opening the trace log,
     # seeding the demo's generator.
@@ -308,8 +348,49 @@ def test_bad_arguments_stay_input_errors(tmp_path, capsys):
         assert (code, report["status"]) == (3, "error"), argv
 
 
+class TestUnwritableOutput:
+    """An output path that cannot be written is an input error found before
+    any solve, not a traceback after the decision."""
+
+    SHARP_Z = [str(FIXTURES_DIR / "sharp_z.json")] * 2
+
+    @pytest.fixture(autouse=True)
+    def no_solve(self, monkeypatch):
+        def solve(*args, **kwargs):
+            raise AssertionError("the solver ran")
+
+        monkeypatch.setattr(compatibility, "dykstra_solve", solve)
+
+    def test_witness_out(self, tmp_path, capsys):
+        witness = tmp_path / "no-such-dir" / "w.json"
+        for path in (witness, tmp_path):  # a missing directory; a directory
+            code, report = run_cli(["check", "obs-obs", *self.SHARP_Z, "--witness-out", str(path)], capsys)
+            assert (code, report["status"]) == (3, "error")
+            assert str(path) in report["error"]
+        assert not witness.parent.exists()
+
+    def test_batch_report_out_fails_alone(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        bad = {**TestMalformedBatchEntry.WEAK, "report_out": str(tmp_path / "no-such-dir" / "r.json")}
+        manifest.write_text(json.dumps({"checks": [bad, TestMalformedBatchEntry.WEAK]}))
+        code, report = run_cli(["check", "--batch", str(manifest)], capsys)
+        assert (code, report["status"]) == (3, "error")
+        assert [r["status"] for r in report["results"]] == ["error", "feasible"]
+        assert "no-such-dir" in report["results"][0]["error"]
+
+
+@pytest.mark.parametrize("max_iter", ["0", "-3"])
+@pytest.mark.parametrize("action", ["check", "robustness"])
+def test_non_positive_max_iter_is_input_error(action, max_iter, fixtures_dir, capsys):
+    # Before the check, check reported undecided and robustness blamed the family.
+    sharp = [str(fixtures_dir / "sharp_x.json"), str(fixtures_dir / "sharp_z.json")]
+    code, report = run_cli([action, "obs-obs", *sharp, "--max-iter", max_iter], capsys)
+    assert (code, report["status"]) == (3, "error")
+    assert "max_iter" in report["error"]
+
+
 class TestBatch:
-    def test_manifest_runs_concurrently(self, fixtures_dir, tmp_path, capsys):
+    def test_manifest_entries_run_one_after_another(self, fixtures_dir, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"
         out1 = tmp_path / "r1.json"
         out2 = tmp_path / "r2.json"

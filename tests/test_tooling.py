@@ -58,13 +58,24 @@ def test_benchmark_workloads_build_and_warm_up(tmp_path, monkeypatch):
 
 def test_every_benchmark_decision_agrees_with_its_oracle(tmp_path, monkeypatch):
     # A decision whose oracle disagrees counts as a failed operation in
-    # the benchmark, so it must fail here first.
+    # the benchmark, and a traced run errors when an expected import site
+    # never fires or a projection escapes a traced solve, so both must
+    # fail here first.
     workloads = _load_perfbench("workloads", monkeypatch)
+    tracing = _load_perfbench("tracing", monkeypatch)
     for name, make in workloads.WORKLOADS.items():
         workdir = tmp_path / name
         workdir.mkdir()
-        failures = {d.name: d.run() for d in make(1, workdir).decisions}
+        decisions = make(1, workdir).decisions
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            failures = {d.name: d.run() for d in decisions}
+        finally:
+            tracer.uninstall()
         assert {k: why for k, why in failures.items() if why is not None} == {}, name
+        assert tracer.missing_sites(name) == [], name
+        assert tracer.escaped_calls() == [], name
 
 
 def test_benchmark_trace_contract(sharp_x, sharp_z, fixtures_dir, monkeypatch):
